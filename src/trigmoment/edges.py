@@ -98,8 +98,14 @@ class EdgeVerdict:
 
 @dataclass(frozen=True, eq=False)
 class ThresholdEstimate:
-    """Bisection output: the critical arc is inside ``bracket`` and
-    ``psi_hat`` is the bracket midpoint."""
+    """Bisection output: ``bracket`` encloses the arc length at which chord
+    midpoints turn from boundary to interior points of the *sampled* cosine
+    hull, and ``psi_hat`` is the bracket midpoint.
+
+    The sampled hull lies inside the body, which moves that transition up,
+    so the bracket need not contain the critical arc itself: for k = 2..5 at
+    4000/4000/5000/6000 samples it lies wholly at or above psi_k (k = 2:
+    (2.09732, 2.09791) against 2.09440)."""
 
     k: int
     psi_hat: float

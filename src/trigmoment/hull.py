@@ -87,7 +87,7 @@ def in_hull(query, points, tol: float = FEAS_TOL) -> HullVerdict:
         A=np.vstack([points.T, np.ones((1, n))]),
         relations=("=",) * (d + 1),
         rhs=np.concatenate([query, [1.0]]),
-        bounds=[(0.0, None)] * n,
+        bounds=np.tile([0.0, np.inf], (n, 1)),
     )
     cert = lp_solve(lp)
     if cert.status == "optimal":
@@ -101,8 +101,10 @@ def in_hull(query, points, tol: float = FEAS_TOL) -> HullVerdict:
     if norm > 0.0:
         y = y / norm
     g = AffineFunctional(y[:d], float(y[d]))
-    hull_side = points @ y[:d] + y[d]
-    margin = float(g(query) - np.max(hull_side))
+    worst = float(np.max(points @ y[:d] + y[d]))
+    margin = g(query) - worst
+    if not (worst <= FEAS_TOL and margin > 0.0):
+        raise RuntimeError(f"Farkas separator fails: max on hull {worst:.3e}, margin {margin:.3e}")
     return HullVerdict(verdict="outside", separator=g, margin=margin)
 
 
@@ -112,6 +114,13 @@ def interiority_probe(query, points, delta: float, tol: float = FEAS_TOL) -> Hul
     The query is interior when every probe query +- delta * e_i is still a
     hull member; a member with a failing probe is boundary.  Point sets that
     do not span the full ambient space are rejected.
+
+    The base solve's optimal basis is a simplex of d + 1 sample points that
+    contains the query (its largest witness weights; zero-weight points pad
+    a degenerate basis).  A probe whose barycentric coordinates in that
+    simplex are all nonnegative, with residual at most ``tol``, is a convex
+    combination of sample points and needs no LP; only the other probes
+    (all of them if the simplex is singular) get a full ``in_hull`` solve.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -127,14 +136,21 @@ def interiority_probe(query, points, delta: float, tol: float = FEAS_TOL) -> Hul
     base = in_hull(query, points, tol)
     if base.verdict == "outside":
         return base
-    for i in range(d):
-        for sign in (1.0, -1.0):
-            probe = query.copy()
-            probe[i] += sign * delta
-            if in_hull(probe, points, tol).verdict != "member":
-                return HullVerdict(
-                    verdict="boundary", witness=base.witness
-                )
+    steps = delta * np.repeat(np.eye(d), 2, axis=0)
+    steps[1::2] *= -1.0
+    probes = query + steps  # rows query + delta e_0, query - delta e_0, ...
+    support = np.argsort(base.witness.weights)[-(d + 1):]
+    simplex = np.vstack([points[support].T, np.ones(d + 1)])
+    targets = np.vstack([probes.T, np.ones(2 * d)])
+    try:
+        bary = np.linalg.solve(simplex, targets)
+        resid = np.max(np.abs(simplex @ bary - targets), axis=0)
+        certified = np.all(bary >= 0.0, axis=0) & (resid <= tol)
+    except np.linalg.LinAlgError:
+        certified = np.zeros(2 * d, dtype=bool)
+    for probe in probes[~certified]:
+        if in_hull(probe, points, tol).verdict != "member":
+            return HullVerdict(verdict="boundary", witness=base.witness)
     return HullVerdict(verdict="interior", witness=base.witness)
 
 
@@ -247,7 +263,8 @@ def exposed_edge_certificate(k: int, alpha, beta, num_samples: int = 2000):
     objective = np.zeros(n_var)
     objective[2 + M:] = 1.0
     rhs = np.concatenate([np.zeros(dim), [1.0], [-1.0]])
-    bounds = [(None, None)] * 2 + [(0.0, None)] * (M + 2 * dim)
+    bounds = np.tile([0.0, np.inf], (n_var, 1))
+    bounds[:2, 0] = -np.inf
     cert = lp_solve(
         LinearProgram(objective=objective, A=A, relations=("=",) * (dim + 2),
                       rhs=rhs, bounds=bounds)

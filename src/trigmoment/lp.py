@@ -1,14 +1,18 @@
-"""Dense two-phase simplex solver with Bland's rule and dual certificates.
+"""Dense two-phase simplex solver with dual certificates.
 
-The solver is deliberately simple: a dense tableau, Bland's anti-cycling
-pivot rule (lowest eligible index enters, ratio ties broken by lowest basis
-index), and a two-phase start.  Problem sizes in this package stay small on
-one side (at most a few dozen rows after dualization, thousands of columns),
-which dense numpy row operations handle comfortably and deterministically.
+The solver is deliberately simple: a dense tableau and a two-phase start.
+Entering columns are chosen by Dantzig's rule (most negative reduced cost,
+leaving-row ties broken by the largest pivot element); after thirty pivots
+without objective progress a phase switches to Bland's anti-cycling rule
+(lowest eligible index enters, ratio ties broken by lowest basis index)
+until the objective moves again.  Problem sizes in this package stay small
+on one side (at most a few dozen rows after dualization, thousands of
+columns), which dense numpy row operations handle comfortably and
+deterministically.
 
 Every optimal solve re-derives the basic solution and the row multipliers
-from a fresh factorization of the final basis, then verifies primal
-feasibility, dual feasibility, and the duality gap before returning; an
+from a fresh factorization of the final basis, and ``lp_solve`` verifies
+primal feasibility and the duality gap before returning; an
 infeasible phase 1 yields the Farkas row combination used elsewhere to build
 separating functionals.
 """
@@ -30,8 +34,9 @@ class LinearProgram:
     """min (or max) objective @ x subject to rows of A relating to rhs.
 
     ``relations[i]`` is one of "<=", "=", ">=" and applies to row i.
-    ``bounds`` lists per-variable (lo, hi) with None for unbounded; omitted
-    bounds mean every variable is free.
+    ``bounds`` lists per-variable (lo, hi), as pairs or an (n, 2) array, with
+    None or an infinite value for unbounded; omitted bounds mean every
+    variable is free.
     """
 
     objective: np.ndarray
@@ -220,10 +225,14 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 def lp_solve(lp: LinearProgram) -> LPCertificate:
     """Solve a general-form LP; deterministic for identical input.
 
-    The problem is rewritten in standard form (shifting, flipping or
-    splitting variables according to their bounds, slacks for inequality
-    rows) and handed to the two-phase simplex.  Optimal results are checked
-    for primal feasibility and duality gap before being returned.
+    The standard form is built with array operations: variables with a lower
+    bound are shifted to it, upper-only ones flipped, boxed ones get an extra
+    ``x + s = hi - lo`` row, and each free variable is split into a column
+    followed immediately by its negation.  Slack columns for inequality rows
+    and then for box rows come last.  This column order fixes the simplex's
+    pivot path, and with it the certificates, so it must not change.
+    Optimal results are checked for primal feasibility and duality gap
+    before being returned.
     """
     c0 = lp.objective
     A0 = lp.A
@@ -238,74 +247,38 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
     for rel in lp.relations:
         if rel not in ("<=", "=", ">="):
             raise ValueError(f"unknown relation {rel!r}")
-    bounds = lp.bounds if lp.bounds is not None else [(None, None)] * n
-    if len(bounds) != n:
+    # None becomes NaN here; NaN and infinite bounds both mean unbounded.
+    bounds = np.full((n, 2), np.nan) if lp.bounds is None else np.array(lp.bounds, dtype=float)
+    if bounds.shape != (n, 2):
         raise ValueError("bounds length must match variable count")
+    lo, hi = bounds.T
+    empty = np.nonzero((hi < lo) | np.isposinf(lo) | np.isneginf(hi))[0]
+    if empty.size:
+        raise ValueError(f"empty bound interval for variable {empty[0]}")
+    has_lo = np.isfinite(lo)
+    has_hi = np.isfinite(hi)
+    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
 
+    # One column per variable, a free variable's negated copy right after it.
+    free = ~has_lo & ~has_hi
+    width = 1 + free
+    first = np.cumsum(width) - width  # standard-form column of each variable
+    var_idx = np.repeat(np.arange(n), width)
+    col_sign = np.repeat(np.where(has_lo | free, 1.0, -1.0), width)
+    col_sign[first[free] + 1] = -1.0
+    n_std = var_idx.size
+    boxed = has_lo & has_hi
+    n_extra = int(boxed.sum())
+    slack_rows = [r for r, rel in enumerate(lp.relations) if rel != "="] + list(range(m, m + n_extra))
+    slack_signs = [-1.0 if rel == ">=" else 1.0 for rel in lp.relations if rel != "="] + [1.0] * n_extra
+
+    A_std = np.zeros((m + n_extra, n_std + len(slack_rows)))
+    A_std[:m, :n_std] = A0[:, var_idx] * col_sign
+    A_std[m + np.arange(n_extra), first[boxed]] = 1.0
+    A_std[slack_rows, n_std + np.arange(len(slack_rows))] = slack_signs
+    b_std = np.concatenate([b0 - A0 @ offset, hi[boxed] - lo[boxed]])
     c_int = -c0 if lp.maximize else c0
-
-    # Columns of the standard form; record how to reconstruct each variable.
-    cols = []       # column vectors of length m
-    costs = []      # standard-form costs
-    recon = []      # (var index, sign) per column; free vars get two entries
-    offset = np.zeros(n)
-    extra_rows = []  # (column index in standard form, upper bound) per boxed var
-    for i in range(n):
-        lo, hi = bounds[i]
-        lo = None if lo is not None and np.isneginf(lo) else lo
-        hi = None if hi is not None and np.isposinf(hi) else hi
-        a_col = A0[:, i]
-        if lo is None and hi is None:
-            cols.append(a_col)
-            costs.append(c_int[i])
-            recon.append((i, 1.0))
-            cols.append(-a_col)
-            costs.append(-c_int[i])
-            recon.append((i, -1.0))
-        elif lo is not None and hi is None:
-            offset[i] = lo
-            cols.append(a_col)
-            costs.append(c_int[i])
-            recon.append((i, 1.0))
-        elif lo is None and hi is not None:
-            offset[i] = hi
-            cols.append(-a_col)
-            costs.append(-c_int[i])
-            recon.append((i, -1.0))
-        else:
-            if hi < lo:
-                raise ValueError(f"empty bound interval for variable {i}")
-            offset[i] = lo
-            extra_rows.append((len(cols), hi - lo))
-            cols.append(a_col)
-            costs.append(c_int[i])
-            recon.append((i, 1.0))
-
-    n_std = len(cols)
-    n_extra = len(extra_rows)
-    A_std = np.zeros((m + n_extra, n_std))
-    A_std[:m, :] = np.column_stack(cols) if cols else np.zeros((m, 0))
-    b_std = np.concatenate([b0 - A0 @ offset, np.zeros(n_extra)])
-    c_std = np.array(costs)
-
-    # Slack columns for inequality rows and box rows.
-    slack_cols = []
-    for r, rel in enumerate(lp.relations):
-        if rel == "<=":
-            slack_cols.append((r, 1.0))
-        elif rel == ">=":
-            slack_cols.append((r, -1.0))
-    for e, (col_idx, width) in enumerate(extra_rows):
-        row = m + e
-        A_std[row, col_idx] = 1.0
-        b_std[row] = width
-        slack_cols.append((row, 1.0))
-    if slack_cols:
-        S = np.zeros((m + n_extra, len(slack_cols)))
-        for j, (r, s) in enumerate(slack_cols):
-            S[r, j] = s
-        A_std = np.hstack([A_std, S])
-        c_std = np.concatenate([c_std, np.zeros(len(slack_cols))])
+    c_std = np.concatenate([c_int[var_idx] * col_sign, np.zeros(len(slack_rows))])
 
     status, z, _, y = _simplex_standard(A_std, b_std, c_std)
 
@@ -315,8 +288,7 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
         return LPCertificate(status="unbounded")
 
     x = offset.copy()
-    for j, (i, s) in enumerate(recon):
-        x[i] += s * z[j]
+    np.add.at(x, var_idx, col_sign * z[:n_std])
     obj = float(c0 @ x)
 
     # Verify the certificate before handing it out.

@@ -11,7 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from trigmoment.angles import symmetric_curve, symmetric_curve_samples
+from trigmoment import hull
+from trigmoment.angles import (
+    cosine_curve,
+    cosine_curve_samples,
+    symmetric_curve,
+    symmetric_curve_samples,
+)
+from trigmoment.edges import edge_threshold
 from trigmoment.hull import (
     DegenerateGeometryError,
     exposed_edge_certificate,
@@ -19,7 +26,7 @@ from trigmoment.hull import (
     interiority_probe,
     tangent_cone_interior,
 )
-from trigmoment.lp import LinearProgram, lp_solve
+from trigmoment.lp import FEAS_TOL, LinearProgram, LPCertificate, lp_solve
 
 
 def convex_polygon(n_vertices: int, seed: int) -> np.ndarray:
@@ -82,6 +89,27 @@ class TestInHull:
         assert np.all([g(p) <= 1e-9 for p in points])
         assert verdict.margin > 1e-9
 
+    def test_separators_hold_on_every_hull_point(self):
+        rng = np.random.default_rng(1)
+        cases = [(rng.normal(size=(n, d)), 3.0 * rng.normal(size=d) + 5.0)
+                 for n, d in [(9, 2), (40, 3), (6, 5), (200, 4)]]
+        cases.append((cosine_curve_samples(5, np.linspace(0.0, math.pi, 3000)),
+                      1.01 * cosine_curve(5, 0.8).coords))
+        for points, query in cases:
+            verdict = in_hull(query, points)
+            assert verdict.verdict == "outside"
+            g = verdict.separator
+            assert g(query) > 0.0
+            assert np.all(points @ g.coeffs + g.constant <= FEAS_TOL)
+
+    def test_invalid_farkas_separator_raises(self, monkeypatch):
+        # A zero combination separates nothing; in_hull must refuse it.
+        monkeypatch.setattr(
+            hull, "lp_solve", lambda lp: LPCertificate(status="infeasible", dual=np.zeros(3))
+        )
+        with pytest.raises(RuntimeError):
+            in_hull(np.array([5.0, 5.0]), np.eye(2))
+
     def test_vertex_of_simplex_is_member(self):
         points = np.eye(3)
         verdict = in_hull(np.array([1.0, 0.0, 0.0]), points)
@@ -132,6 +160,49 @@ class TestInteriorityProbe:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
             interiority_probe(np.zeros(2), self.SQUARE, delta=0.0)
+
+
+def probe_by_lp(query, points, delta):
+    """Reference verdict: one in_hull solve for the query and every probe."""
+    if in_hull(query, points).verdict == "outside":
+        return "outside"
+    for i in range(query.shape[0]):
+        for sign in (1.0, -1.0):
+            probe = query.copy()
+            probe[i] += sign * delta
+            if in_hull(probe, points).verdict != "member":
+                return "boundary"
+    return "interior"
+
+
+class TestInteriorityProbeAgainstReference:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_verdicts_match_per_probe_solves(self, k, monkeypatch):
+        half = 0.5 * edge_threshold(k)
+        delta = 1e-5
+        calls = []
+        counted = hull.in_hull
+
+        def counting_in_hull(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(hull, "in_hull", counting_in_hull)
+        expected_verdicts = []
+        for theta in (half - 0.15, half - 0.03, half + 0.03, half + 0.15):
+            thetas = np.unique(np.concatenate([np.linspace(0.0, math.pi, 1000), [theta]]))
+            points = cosine_curve_samples(k, thetas)
+            query = cosine_curve(k, theta).coords
+            calls.clear()
+            got = interiority_probe(query, points, delta).verdict
+            probe_calls = len(calls)
+            expected = probe_by_lp(query, points, delta)
+            assert got == expected, f"k={k} theta={theta}"
+            expected_verdicts.append(expected)
+            if expected == "interior":
+                # The base basis certifies at least one probe without an LP.
+                assert probe_calls < 1 + 2 * k
+        assert expected_verdicts == ["boundary", "boundary", "interior", "interior"]
 
 
 def scan_max_step(vertex, unit, vertices, hi=3.0, steps=3000):

@@ -144,6 +144,26 @@ class TestCertificates:
         assert abs(cert.primal.sum() - 1.0) < 1e-9
 
 
+class TestInfiniteBounds:
+    def test_infinite_bounds_match_none(self):
+        # min c @ x st A x = b with x0, x1 free and x2..x4 >= 0; c is built
+        # from a dual-feasible y, so the optimum exists.
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(3, 5))
+        rhs = A @ rng.uniform(0.1, 1.0, 5)
+        c = A.T @ rng.normal(size=3) + np.array([0.0, 0.0, 0.3, 0.7, 1.1])
+        relations = ["="] * 3
+        with_none = solve(c, A, relations, rhs, bounds=[(None, None)] * 2 + [(0.0, None)] * 3)
+        assert with_none.status == "optimal"
+        inf_pairs = [(-np.inf, np.inf)] * 2 + [(0.0, np.inf)] * 3
+        for bounds in (inf_pairs, np.array(inf_pairs)):
+            with_inf = solve(c, A, relations, rhs, bounds=bounds)
+            assert with_inf.status == "optimal"
+            assert np.array_equal(with_inf.primal, with_none.primal)
+            assert np.array_equal(with_inf.dual, with_none.dual)
+            assert with_inf.objective_value == with_none.objective_value
+
+
 class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
