@@ -34,6 +34,7 @@ __all__ = [
     "rational_angle",
     "real_angle",
     "as_angle",
+    "arc_distance",
     "cos_at",
     "sin_at",
     "chebyshev_T",
@@ -51,7 +52,8 @@ class Angle:
 
     Rational angles satisfy ``theta = p*pi/q`` with ``gcd(p, q) == 1`` and
     ``0 <= p < 2q``; ``p is None`` marks a free-valued (float) angle.  The
-    float ``value`` is always populated for numeric use.
+    float ``value`` is always populated for numeric use.  Equality is exact:
+    two rational angles compare by (p, q), any other pair by ``value``.
     """
 
     p: int | None
@@ -72,14 +74,11 @@ class Angle:
             return NotImplemented
         if self.is_rational and other.is_rational:
             return self.p == other.p and self.q == other.q
-        return abs(self.value - other.value) < 1e-12
+        return self.value == other.value
 
     def __hash__(self) -> int:
-        # Equal rational angles hash equally; float comparisons use a
-        # tolerance, so hashing falls back to a coarse bucket.
-        if self.is_rational:
-            return hash((self.p, self.q))
-        return hash(round(self.value, 9))
+        # Equal angles have equal values, rational pairs included.
+        return hash(self.value)
 
     def __repr__(self) -> str:
         if self.is_rational:
@@ -115,6 +114,13 @@ def as_angle(theta: "Angle | float | int") -> Angle:
     if isinstance(theta, Angle):
         return theta
     return real_angle(float(theta))
+
+
+def arc_distance(a, b):
+    """Length of the shorter arc between angles ``a`` and ``b`` (radians),
+    in [0, pi]: fmod(|a - b|, 2*pi) folded.  Accepts floats or arrays."""
+    d = np.fmod(np.abs(np.subtract(a, b)), TWO_PI)
+    return np.minimum(d, TWO_PI - d)
 
 
 def _cos_pi_frac(m: int, q: int) -> float:

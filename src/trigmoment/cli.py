@@ -123,14 +123,8 @@ def _finish(command: str, lines: list, passed: bool, started: float) -> RunRepor
     return RunReport(command, lines, passed, time.perf_counter() - started)
 
 
-def _require_k(k: int) -> None:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-
-
 def cmd_identities(k: int, tol: float = 1e-12) -> RunReport:
     """Residuals of the three node-angle cosine identities, all indices."""
-    _require_k(k)
     started = time.perf_counter()
     residuals = all_trig_identity_residuals(k)
     lines = [("k", str(k)), ("tolerance", _g(tol))]
@@ -145,7 +139,6 @@ def cmd_identities(k: int, tol: float = 1e-12) -> RunReport:
 
 def cmd_facets(k: int, tol: float = 1e-10) -> RunReport:
     """Vanishing pattern of the facet functions at the node angles."""
-    _require_k(k)
     started = time.perf_counter()
     report = verify_facet_description(k, tol)
     lines = [("k", str(k)), ("tolerance", _g(tol))]
@@ -158,7 +151,8 @@ def cmd_facets(k: int, tol: float = 1e-10) -> RunReport:
 
 def cmd_roots(k: int, tol: float = 1e-10) -> RunReport:
     """Closed-form root lists of each facet function, cross-checked by bisection."""
-    _require_k(k)
+    if k < 2:  # for k <= 0 the loop below would call no library function
+        raise ValueError(f"k must be >= 2, got {k}")
     started = time.perf_counter()
     lines = [("k", str(k)), ("tolerance", _g(tol))]
     passed = True
@@ -189,7 +183,6 @@ def cmd_roots(k: int, tol: float = 1e-10) -> RunReport:
 
 def cmd_witness(k: int, tol: float = 1e-12) -> RunReport:
     """Explicit convex weights writing the origin from outer-simplex vertices."""
-    _require_k(k)
     started = time.perf_counter()
     witness = origin_witness(k)
     error = witness.reconstruction_error(np.zeros(k - 1))
@@ -207,7 +200,6 @@ def cmd_witness(k: int, tol: float = 1e-12) -> RunReport:
 
 def cmd_tangent_cone(k: int, epsilon: float = 1e-3) -> RunReport:
     """Facet-contact check: hyperplane contact, tangent direction, sign window."""
-    _require_k(k)
     started = time.perf_counter()
     report = facet_contact_check(k, epsilon)
     lines = [
@@ -229,7 +221,6 @@ def cmd_tangent_cone(k: int, epsilon: float = 1e-3) -> RunReport:
 def cmd_threshold(k: int, samples: int = 4000, resolution: float = 1e-3,
                   tol: float = 5e-3) -> RunReport:
     """Bisection estimate of the critical arc length, against the closed form."""
-    _require_k(k)
     started = time.perf_counter()
     estimate = estimate_threshold(k, samples, resolution)
     closed = edge_threshold(k)
@@ -253,7 +244,6 @@ def cmd_threshold(k: int, samples: int = 4000, resolution: float = 1e-3,
 
 def cmd_edge(k: int, alpha, beta, samples: int = 2000) -> RunReport:
     """Edge/non-edge classification of one chord, with its evidence."""
-    _require_k(k)
     started = time.perf_counter()
     verdict = edge_verdict(k, alpha, beta, samples)
     lines = [
@@ -275,7 +265,8 @@ def cmd_edge(k: int, alpha, beta, samples: int = 2000) -> RunReport:
 def cmd_membership(k: int, point=None, theta=None, iters: int = 2000,
                    tol: float = 1e-8) -> RunReport:
     """Toeplitz-completion membership test for a point of R^{2k}."""
-    _require_k(k)
+    if k < 2:  # toeplitz_membership itself accepts k = 1
+        raise ValueError(f"k must be >= 2, got {k}")
     started = time.perf_counter()
     if (point is None) == (theta is None):
         raise ValueError("provide exactly one of --point and --theta")

@@ -23,6 +23,7 @@ import numpy as np
 
 from trigmoment.angles import (
     Angle,
+    arc_distance,
     as_angle,
     cos_at,
     cosine_curve,
@@ -117,16 +118,6 @@ class ThresholdEstimate:
         return self.bracket[1] - self.bracket[0]
 
 
-def _fold(value: float) -> float:
-    """Fold an angle in [0, 2*pi) onto [0, pi] using cos(2*pi - t) = cos(t)."""
-    return min(value, 2.0 * math.pi - value)
-
-
-def _arc_between(a: float, b: float) -> float:
-    d = math.fmod(abs(a - b), 2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
-
-
 def midpoint_interiority(k: int, theta, num_samples: int = 2000,
                          delta: float = PROBE_DELTA) -> HullVerdict:
     """Probe where the chord midpoint (C_k(theta), 0) sits relative to the
@@ -143,7 +134,7 @@ def midpoint_interiority(k: int, theta, num_samples: int = 2000,
     if num_samples < 500:
         raise ValueError(f"num_samples must be >= 500, got {num_samples}")
     ang = as_angle(theta)
-    folded = _fold(ang.value)
+    folded = float(arc_distance(ang.value, 0.0))  # cos(2*pi - t) = cos(t)
     thetas = np.unique(np.concatenate([np.linspace(0.0, math.pi, num_samples),
                                        [folded]]))
     samples = cosine_curve_samples(k, thetas)
@@ -220,7 +211,7 @@ def edge_verdict(k: int, alpha, beta, num_samples: int = 2000) -> EdgeVerdict:
         raise ValueError(f"num_samples must be >= 500, got {num_samples}")
     a = as_angle(alpha)
     b = as_angle(beta)
-    arc = _arc_between(a.value, b.value)
+    arc = float(arc_distance(a.value, b.value))
     if arc < 1e-12:
         raise ValueError("alpha and beta must be distinct points on the circle")
     threshold = edge_threshold(k)

@@ -33,6 +33,7 @@ from trigmoment.angles import (
     as_angle,
     cos_at,
     cosine_curve,
+    cosine_curve_samples,
     rational_angle,
 )
 
@@ -148,8 +149,7 @@ def facet_curve_poly(k: int, j: int, theta: "Angle | float") -> float:
 def facet_curve_poly_grid(k: int, j: int, thetas: np.ndarray) -> np.ndarray:
     """Vectorized f_j over an array of float angles."""
     fn = facet_functional(k, j)
-    freqs = 2.0 * np.arange(1, k) - 1.0
-    return np.cos(np.outer(np.asarray(thetas, dtype=float), freqs)) @ fn.coeffs + fn.constant
+    return cosine_curve_samples(k - 1, thetas) @ fn.coeffs + fn.constant
 
 
 def facet_curve_roots(k: int, j: int) -> list[Angle]:
@@ -301,6 +301,8 @@ def trig_identity_residual(which: str, k: int, idx) -> float:
 
 def all_trig_identity_residuals(k: int) -> list[tuple[str, object, float]]:
     """Every identity instance for this k as (kind, index, residual)."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
     out = []
     for l in range(1, k):
         out.append(("node-sum", l, trig_identity_residual("node-sum", k, l)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trigmoment.angles import as_angle, symmetric_curve, symmetric_curve_samples
+from trigmoment.angles import arc_distance, as_angle, symmetric_curve, symmetric_curve_samples
 from trigmoment.facets import AffineFunctional, ConvexCombination
 from trigmoment.lp import FEAS_TOL, LinearProgram, LPCertificate, lp_solve
 
@@ -67,7 +67,7 @@ class EdgeCertificate:
     margin: float
 
 
-def in_hull(query, points, tol: float = FEAS_TOL) -> HullVerdict:
+def in_hull(query, points) -> HullVerdict:
     """Is ``query`` a convex combination of the rows of ``points``?
 
     Returns verdict "member" with the weights, or "outside" with a
@@ -85,9 +85,7 @@ def in_hull(query, points, tol: float = FEAS_TOL) -> HullVerdict:
     lp = LinearProgram(
         objective=np.zeros(n),
         A=np.vstack([points.T, np.ones((1, n))]),
-        relations=("=",) * (d + 1),
         rhs=np.concatenate([query, [1.0]]),
-        bounds=np.tile([0.0, np.inf], (n, 1)),
     )
     cert = lp_solve(lp)
     if cert.status == "optimal":
@@ -108,7 +106,7 @@ def in_hull(query, points, tol: float = FEAS_TOL) -> HullVerdict:
     return HullVerdict(verdict="outside", separator=g, margin=margin)
 
 
-def interiority_probe(query, points, delta: float, tol: float = FEAS_TOL) -> HullVerdict:
+def interiority_probe(query, points, delta: float) -> HullVerdict:
     """Interior / boundary / outside by probing 2n axis displacements.
 
     The query is interior when every probe query +- delta * e_i is still a
@@ -118,7 +116,7 @@ def interiority_probe(query, points, delta: float, tol: float = FEAS_TOL) -> Hul
     The base solve's optimal basis is a simplex of d + 1 sample points that
     contains the query (its largest witness weights; zero-weight points pad
     a degenerate basis).  A probe whose barycentric coordinates in that
-    simplex are all nonnegative, with residual at most ``tol``, is a convex
+    simplex are all nonnegative, with residual at most FEAS_TOL, is a convex
     combination of sample points and needs no LP; only the other probes
     (all of them if the simplex is singular) get a full ``in_hull`` solve.
     """
@@ -133,7 +131,7 @@ def interiority_probe(query, points, delta: float, tol: float = FEAS_TOL) -> Hul
             f"points span less than the ambient dimension {d}"
         )
 
-    base = in_hull(query, points, tol)
+    base = in_hull(query, points)
     if base.verdict == "outside":
         return base
     steps = delta * np.repeat(np.eye(d), 2, axis=0)
@@ -145,16 +143,16 @@ def interiority_probe(query, points, delta: float, tol: float = FEAS_TOL) -> Hul
     try:
         bary = np.linalg.solve(simplex, targets)
         resid = np.max(np.abs(simplex @ bary - targets), axis=0)
-        certified = np.all(bary >= 0.0, axis=0) & (resid <= tol)
+        certified = np.all(bary >= 0.0, axis=0) & (resid <= FEAS_TOL)
     except np.linalg.LinAlgError:
         certified = np.zeros(2 * d, dtype=bool)
     for probe in probes[~certified]:
-        if in_hull(probe, points, tol).verdict != "member":
+        if in_hull(probe, points).verdict != "member":
             return HullVerdict(verdict="boundary", witness=base.witness)
     return HullVerdict(verdict="interior", witness=base.witness)
 
 
-def tangent_cone_interior(vertex, direction, facet_vertices, tol: float = FEAS_TOL):
+def tangent_cone_interior(vertex, direction, facet_vertices):
     """Does ``direction`` point into the relative interior of the facet at
     ``vertex``?
 
@@ -184,9 +182,7 @@ def tangent_cone_interior(vertex, direction, facet_vertices, tol: float = FEAS_T
     lp = LinearProgram(
         objective=np.concatenate([np.zeros(mcount), [1.0]]),
         A=A,
-        relations=("=",) * (d + 1),
         rhs=np.concatenate([vertex, [1.0]]),
-        bounds=[(0.0, None)] * (mcount + 1),
         maximize=True,
     )
     cert = lp_solve(lp)
@@ -208,13 +204,8 @@ def tangent_cone_interior(vertex, direction, facet_vertices, tol: float = FEAS_T
         return False, cert
     local_vertices = spread @ basis.T
     delta = max(1e-9, 1e-3 * eps_star)
-    verdict = interiority_probe(local_p, local_vertices, delta, tol)
+    verdict = interiority_probe(local_p, local_vertices, delta)
     return verdict.verdict == "interior", cert
-
-
-def _circle_distance(t: np.ndarray, x: float) -> np.ndarray:
-    d = np.abs(np.mod(t - x, 2.0 * math.pi))
-    return np.minimum(d, 2.0 * math.pi - d)
 
 
 def exposed_edge_certificate(k: int, alpha, beta, num_samples: int = 2000):
@@ -231,14 +222,14 @@ def exposed_edge_certificate(k: int, alpha, beta, num_samples: int = 2000):
         raise ValueError(f"num_samples must be >= 100, got {num_samples}")
     a = as_angle(alpha)
     b = as_angle(beta)
-    if float(_circle_distance(np.array([a.value]), b.value)[0]) < 1e-12:
+    if arc_distance(a.value, b.value) < 1e-12:
         raise ValueError("alpha and beta must differ")
 
     ts = np.linspace(0.0, 2.0 * math.pi, num_samples, endpoint=False)
     radius = 10.0 * (2.0 * math.pi / num_samples)
     kept = ts[
-        (_circle_distance(ts, a.value) > radius)
-        & (_circle_distance(ts, b.value) > radius)
+        (arc_distance(ts, a.value) > radius)
+        & (arc_distance(ts, b.value) > radius)
     ]
     P = symmetric_curve_samples(k, kept)  # (M, 2k)
     sa = symmetric_curve(k, a).coords
@@ -263,12 +254,9 @@ def exposed_edge_certificate(k: int, alpha, beta, num_samples: int = 2000):
     objective = np.zeros(n_var)
     objective[2 + M:] = 1.0
     rhs = np.concatenate([np.zeros(dim), [1.0], [-1.0]])
-    bounds = np.tile([0.0, np.inf], (n_var, 1))
-    bounds[:2, 0] = -np.inf
-    cert = lp_solve(
-        LinearProgram(objective=objective, A=A, relations=("=",) * (dim + 2),
-                      rhs=rhs, bounds=bounds)
-    )
+    free = np.zeros(n_var, dtype=bool)
+    free[:2] = True
+    cert = lp_solve(LinearProgram(objective=objective, A=A, rhs=rhs, free=free))
     if cert.status != "optimal":
         raise RuntimeError(f"edge-certificate LP ended {cert.status}")
 

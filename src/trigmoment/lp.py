@@ -23,34 +23,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEAS_TOL = 1e-9  # feasibility / optimality tolerance
-GAP_TOL = 1e-8   # allowed duality gap on optimal results
+FEAS_TOL = 1e-9        # feasibility / optimality tolerance
+GAP_TOL = 1e-8         # allowed duality gap on optimal results
+MAX_PIVOTS = 200_000   # pivots per solve before giving up
 
 __all__ = ["FEAS_TOL", "GAP_TOL", "LinearProgram", "LPCertificate", "lp_solve"]
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min (or max) objective @ x subject to rows of A relating to rhs.
+    """min (or max) objective @ x subject to A @ x = rhs.
 
-    ``relations[i]`` is one of "<=", "=", ">=" and applies to row i.
-    ``bounds`` lists per-variable (lo, hi), as pairs or an (n, 2) array, with
-    None or an infinite value for unbounded; omitted bounds mean every
-    variable is free.
+    Every variable is nonnegative except those marked in ``free``, a boolean
+    mask with one entry per variable; None means no variable is free.
     """
 
     objective: np.ndarray
     A: np.ndarray
-    relations: tuple
     rhs: np.ndarray
-    bounds: tuple | None = None
+    free: np.ndarray | None = None
     maximize: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
-        object.__setattr__(self, "relations", tuple(self.relations))
+        if self.free is not None:
+            object.__setattr__(self, "free", np.asarray(self.free, dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +60,7 @@ class LPCertificate:
     ``objective_value``; ``dual`` holds one multiplier per original row and
     the verified duality gap is stored in ``dual_gap``.  For "infeasible":
     ``dual`` holds a Farkas combination y of the original rows (y @ A <= 0
-    componentwise on the nonnegative standard-form columns, y @ rhs > 0).
+    on the nonnegative variables, y @ A = 0 on the free ones, y @ rhs > 0).
     For "unbounded" only the status is meaningful.
     """
 
@@ -80,8 +79,7 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _pivot_step(tab: np.ndarray, basis: np.ndarray, n_allowed: int, tol: float,
-                use_bland: bool):
+def _pivot_step(tab: np.ndarray, basis: np.ndarray, n_allowed: int, use_bland: bool):
     """One simplex pivot; returns "optimal", "unbounded" or "pivoted".
 
     Entering column: most negative reduced cost (Dantzig) normally, lowest
@@ -90,16 +88,16 @@ def _pivot_step(tab: np.ndarray, basis: np.ndarray, n_allowed: int, tol: float,
     """
     cost = tab[-1, :n_allowed]
     if use_bland:
-        eligible = np.nonzero(cost < -tol)[0]
+        eligible = np.nonzero(cost < -FEAS_TOL)[0]
         if eligible.size == 0:
             return "optimal"
         col = int(eligible[0])
     else:
         col = int(np.argmin(cost))
-        if cost[col] >= -tol:
+        if cost[col] >= -FEAS_TOL:
             return "optimal"
     column = tab[:-1, col]
-    rows = np.nonzero(column > tol)[0]
+    rows = np.nonzero(column > FEAS_TOL)[0]
     if rows.size == 0:
         return "unbounded"
     ratios = tab[:-1, -1][rows] / column[rows]
@@ -114,20 +112,19 @@ def _pivot_step(tab: np.ndarray, basis: np.ndarray, n_allowed: int, tol: float,
     return "pivoted"
 
 
-def _run_phase(tab: np.ndarray, basis: np.ndarray, n_allowed: int, tol: float,
-               max_pivots: int, pivots: int):
+def _run_phase(tab: np.ndarray, basis: np.ndarray, n_allowed: int, pivots: int):
     """Pivot to optimality.  Dantzig selection with a permanent-progress
     guarantee: thirty pivots without objective movement switch to Bland's
     rule (immune to cycling) until the objective moves again."""
     last_obj = tab[-1, -1]
     stalled = 0
     while True:
-        step = _pivot_step(tab, basis, n_allowed, tol, use_bland=stalled >= 30)
+        step = _pivot_step(tab, basis, n_allowed, use_bland=stalled >= 30)
         if step != "pivoted":
             return step, pivots
         pivots += 1
-        if pivots > max_pivots:
-            raise RuntimeError(f"simplex exceeded {max_pivots} pivots")
+        if pivots > MAX_PIVOTS:
+            raise RuntimeError(f"simplex exceeded {MAX_PIVOTS} pivots")
         obj = tab[-1, -1]
         if obj > last_obj + 1e-12 * max(1.0, abs(last_obj)):
             last_obj = obj
@@ -136,13 +133,12 @@ def _run_phase(tab: np.ndarray, basis: np.ndarray, n_allowed: int, tol: float,
             stalled += 1
 
 
-def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                      tol: float = FEAS_TOL, max_pivots: int = 200_000):
+def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """min c @ x s.t. A x = b, x >= 0 by the two-phase tableau method.
 
     Returns (status, x, objective, y) where y are the row multipliers in the
     coordinates of the rows as given; on "infeasible" y is a Farkas
-    certificate with y @ A <= tol componentwise and y @ b > 0.
+    certificate with y @ A <= FEAS_TOL componentwise and y @ b > 0.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).copy()
@@ -163,11 +159,11 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     # Phase 1: minimize the artificial sum.
     tab[-1, :] = -tab[:m, :].sum(axis=0)
     tab[-1, n:n + m] = 0.0
-    step, pivots = _run_phase(tab, basis, n, tol, max_pivots, 0)
+    step, pivots = _run_phase(tab, basis, n, 0)
     if step == "unbounded":  # cannot happen: phase-1 objective >= 0
         raise RuntimeError("phase-1 reported unbounded")
     phase1 = -tab[-1, -1]
-    if phase1 > tol * max(1.0, float(np.abs(b_w).sum())):
+    if phase1 > FEAS_TOL * max(1.0, float(np.abs(b_w).sum())):
         c1_basic = (basis >= n).astype(float)
         y = c1_basic @ tab[:m, n:n + m]
         return "infeasible", None, None, y * signs
@@ -177,7 +173,7 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     for r in range(m):
         if basis[r] >= n:
             col = int(np.argmax(np.abs(tab[r, :n])))
-            if abs(tab[r, col]) > tol:
+            if abs(tab[r, col]) > FEAS_TOL:
                 _pivot(tab, basis, r, col)
             else:
                 keep[r] = False
@@ -194,7 +190,7 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     tab[-1, :n] = c - c_basic @ tab[:m, :n]
     tab[-1, n:n + m] = -c_basic @ tab[:m, n:n + m]
     tab[-1, -1] = -c_basic @ tab[:m, -1]
-    step, pivots = _run_phase(tab, basis, n, tol, max_pivots, pivots)
+    step, pivots = _run_phase(tab, basis, n, pivots)
     if step == "unbounded":
         return "unbounded", None, None, None
 
@@ -210,7 +206,7 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         cand_y = np.linalg.solve(B.T, c[basis])
         tab_resid = float(np.abs(B @ x_basic - b_w).max(initial=0.0))
         fresh_resid = float(np.abs(B @ cand_x - b_w).max(initial=0.0))
-        if fresh_resid <= max(tab_resid, tol * scale):
+        if fresh_resid <= max(tab_resid, FEAS_TOL * scale):
             x_basic, y = cand_x, cand_y
     except np.linalg.LinAlgError:
         pass
@@ -223,16 +219,13 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def lp_solve(lp: LinearProgram) -> LPCertificate:
-    """Solve a general-form LP; deterministic for identical input.
+    """Solve an equality-form LP; deterministic for identical input.
 
-    The standard form is built with array operations: variables with a lower
-    bound are shifted to it, upper-only ones flipped, boxed ones get an extra
-    ``x + s = hi - lo`` row, and each free variable is split into a column
-    followed immediately by its negation.  Slack columns for inequality rows
-    and then for box rows come last.  This column order fixes the simplex's
-    pivot path, and with it the certificates, so it must not change.
-    Optimal results are checked for primal feasibility and duality gap
-    before being returned.
+    The standard form keeps one column per variable, with each free
+    variable's negated copy right after it.  This column order fixes the
+    simplex's pivot path, and with it the certificates, so it must not
+    change.  Optimal results are checked for primal feasibility and duality
+    gap before being returned.
     """
     c0 = lp.objective
     A0 = lp.A
@@ -240,79 +233,45 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
     if A0.ndim != 2:
         raise ValueError("constraint matrix must be two-dimensional")
     m, n = A0.shape
-    if c0.shape != (n,) or b0.shape != (m,) or len(lp.relations) != m:
+    if c0.shape != (n,) or b0.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
     if not (np.all(np.isfinite(A0)) and np.all(np.isfinite(b0)) and np.all(np.isfinite(c0))):
         raise ValueError("LP data must be finite")
-    for rel in lp.relations:
-        if rel not in ("<=", "=", ">="):
-            raise ValueError(f"unknown relation {rel!r}")
-    # None becomes NaN here; NaN and infinite bounds both mean unbounded.
-    bounds = np.full((n, 2), np.nan) if lp.bounds is None else np.array(lp.bounds, dtype=float)
-    if bounds.shape != (n, 2):
-        raise ValueError("bounds length must match variable count")
-    lo, hi = bounds.T
-    empty = np.nonzero((hi < lo) | np.isposinf(lo) | np.isneginf(hi))[0]
-    if empty.size:
-        raise ValueError(f"empty bound interval for variable {empty[0]}")
-    has_lo = np.isfinite(lo)
-    has_hi = np.isfinite(hi)
-    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    free = np.zeros(n, dtype=bool) if lp.free is None else lp.free
+    if free.shape != (n,):
+        raise ValueError("free mask length must match variable count")
 
-    # One column per variable, a free variable's negated copy right after it.
-    free = ~has_lo & ~has_hi
     width = 1 + free
-    first = np.cumsum(width) - width  # standard-form column of each variable
     var_idx = np.repeat(np.arange(n), width)
-    col_sign = np.repeat(np.where(has_lo | free, 1.0, -1.0), width)
-    col_sign[first[free] + 1] = -1.0
-    n_std = var_idx.size
-    boxed = has_lo & has_hi
-    n_extra = int(boxed.sum())
-    slack_rows = [r for r, rel in enumerate(lp.relations) if rel != "="] + list(range(m, m + n_extra))
-    slack_signs = [-1.0 if rel == ">=" else 1.0 for rel in lp.relations if rel != "="] + [1.0] * n_extra
+    col_sign = np.ones(var_idx.size)
+    col_sign[np.cumsum(width)[free] - 1] = -1.0
+    A_std = A0[:, var_idx] * col_sign
+    c_std = (-c0 if lp.maximize else c0)[var_idx] * col_sign
 
-    A_std = np.zeros((m + n_extra, n_std + len(slack_rows)))
-    A_std[:m, :n_std] = A0[:, var_idx] * col_sign
-    A_std[m + np.arange(n_extra), first[boxed]] = 1.0
-    A_std[slack_rows, n_std + np.arange(len(slack_rows))] = slack_signs
-    b_std = np.concatenate([b0 - A0 @ offset, hi[boxed] - lo[boxed]])
-    c_int = -c0 if lp.maximize else c0
-    c_std = np.concatenate([c_int[var_idx] * col_sign, np.zeros(len(slack_rows))])
-
-    status, z, _, y = _simplex_standard(A_std, b_std, c_std)
+    status, z, _, y = _simplex_standard(A_std, b0, c_std)
 
     if status == "infeasible":
-        return LPCertificate(status="infeasible", dual=y[:m])
+        return LPCertificate(status="infeasible", dual=y)
     if status == "unbounded":
         return LPCertificate(status="unbounded")
 
-    x = offset.copy()
-    np.add.at(x, var_idx, col_sign * z[:n_std])
-    obj = float(c0 @ x)
+    x = np.zeros(n)
+    np.add.at(x, var_idx, col_sign * z)
 
     # Verify the certificate before handing it out.
-    scale = max(1.0, float(np.max(np.abs(b0))) if m else 1.0, float(np.max(np.abs(x))) if n else 1.0)
-    resid = A0 @ x - b0
-    for r, rel in enumerate(lp.relations):
-        ok = (
-            abs(resid[r]) <= FEAS_TOL * scale
-            if rel == "="
-            else (resid[r] <= FEAS_TOL * scale if rel == "<=" else resid[r] >= -FEAS_TOL * scale)
-        )
-        if not ok:
-            raise RuntimeError(f"optimal point violates row {r} by {resid[r]:.3e}")
-    gap = abs(float(y @ b_std) - float(c_std @ z))
+    scale = max(1.0, float(np.abs(b0).max(initial=0.0)), float(np.abs(x).max(initial=0.0)))
+    resid = np.abs(A0 @ x - b0)
+    if resid.max(initial=0.0) > FEAS_TOL * scale:
+        row = int(np.argmax(resid))
+        raise RuntimeError(f"optimal point violates row {row} by {resid[row]:.3e}")
+    gap = abs(float(y @ b0) - float(c_std @ z))
     if gap > GAP_TOL * scale:
         raise RuntimeError(f"duality gap {gap:.3e} exceeds tolerance")
 
-    y_out = y[:m].copy()
-    if lp.maximize:
-        y_out = -y_out
     return LPCertificate(
         status="optimal",
         primal=x,
-        objective_value=obj,
-        dual=y_out,
+        objective_value=float(c0 @ x),
+        dual=-y if lp.maximize else y,
         dual_gap=float(gap),
     )

@@ -11,6 +11,7 @@ import pytest
 
 from trigmoment.angles import (
     Angle,
+    arc_distance,
     as_angle,
     chebyshev_T,
     cos_at,
@@ -72,13 +73,37 @@ class TestAngleConstruction:
         assert -a == rational_angle(8, 5)
 
     def test_equality_real_tolerance(self):
-        assert real_angle(1.0) == real_angle(1.0 + 1e-13)
-        assert real_angle(1.0) != real_angle(1.0 + 1e-10)
+        # No tolerance: equality is exact, so equal angles hash alike.
+        assert real_angle(1.0) == real_angle(1.0)
+        assert real_angle(1.0) != real_angle(1.0 + 1e-13)
+        assert rational_angle(1, 2) == real_angle(math.pi / 2)
+        assert rational_angle(1, 2) != real_angle(math.pi / 2 + 1e-13)
+        assert len({rational_angle(1, 2), real_angle(math.pi / 2)}) == 1
+        assert len({real_angle(1.0), real_angle(1.0 + 1e-13)}) == 2
 
     def test_as_angle_coercion(self):
         a = as_angle(math.pi / 2)
         assert isinstance(a, Angle)
         assert not a.is_rational
+
+
+class TestArcDistance:
+    def test_scalar_values(self):
+        assert arc_distance(0.5, 2.0) == 1.5
+        assert arc_distance(2.0, 0.5) == 1.5
+        assert arc_distance(0.0, math.pi) == math.pi
+        assert abs(arc_distance(0.1, 2.0 * math.pi - 0.1) - 0.2) < 1e-15
+        assert abs(arc_distance(-0.1, 4.0 * math.pi + 0.1) - 0.2) < 1e-14
+
+    def test_array_matches_scalar_and_stays_in_range(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-20.0, 20.0, 500)
+        got = arc_distance(a, 1.3)
+        assert got.shape == a.shape
+        assert np.all((got >= 0.0) & (got <= math.pi))
+        assert np.array_equal(got, [arc_distance(x, 1.3) for x in a])
+        # The folded distance agrees with the angle between unit vectors.
+        assert np.allclose(np.cos(got), np.cos(a - 1.3), atol=1e-12)
 
 
 class TestCosAt:

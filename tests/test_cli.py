@@ -62,10 +62,18 @@ class TestExitCodes:
         assert code == 0
         assert report_dict(out)["status"] == "pass"
 
-    def test_bad_k_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "identities", "--k", "1")
-        assert code == 2
-        assert "k must be >= 2" in err
+    def test_bad_k_is_usage_error(self, capsys, tmp_path):
+        for argv in (
+            ["identities"], ["facets"], ["roots"], ["witness"], ["tangent-cone"],
+            ["threshold"], ["edge", "--alpha", "0", "--beta", "1"],
+            ["membership", "--theta", "1"],
+            ["plot-data", "curve", "--out", str(tmp_path / "unused.csv")],
+        ):
+            for k in ("1", "0"):
+                code, out, err = run_cli(capsys, *argv, "--k", k)
+                assert code == 2, (argv, k)
+                assert out == ""
+                assert f"k must be >= 2, got {k}" in err
 
     def test_coincident_chord_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "edge", "--k", "2",

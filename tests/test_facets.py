@@ -278,6 +278,11 @@ class TestTrigIdentities:
             for _, _, res in all_trig_identity_residuals(k):
                 assert res < 1e-13
 
+    def test_all_residuals_reject_small_k(self):
+        for k in (1, 0):
+            with pytest.raises(ValueError, match=f"k must be >= 2, got {k}"):
+                all_trig_identity_residuals(k)
+
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             trig_identity_residual("node-sum", 3, 3)

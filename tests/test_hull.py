@@ -279,21 +279,33 @@ def solve_edge_primal(k, alpha, beta, num_samples):
     sa = symmetric_curve(k, alpha).coords
     sb = symmetric_curve(k, beta).coords
     m, dim = P.shape
-    # Variables: h (dim), h0, s.
-    A = np.zeros((2 + m, dim + 2))
+    # Variables: h (dim), h0, s (all free), then nonnegative slacks: one per
+    # sample row, and u, w (dim each) for the box h + u = 1, h - w = -1.
+    # Rows: h . SM(alpha) = h0, h . SM(beta) = h0, h . P_i - h0 + s + slack_i
+    # = 0, then the box rows.
+    n_var = dim + 2 + m + 2 * dim
+    A = np.zeros((2 + m + 2 * dim, n_var))
     A[0, :dim] = sa
     A[0, dim] = -1.0
     A[1, :dim] = sb
     A[1, dim] = -1.0
-    A[2:, :dim] = P
-    A[2:, dim] = -1.0
-    A[2:, dim + 1] = 1.0
+    A[2:2 + m, :dim] = P
+    A[2:2 + m, dim] = -1.0
+    A[2:2 + m, dim + 1] = 1.0
+    A[2:2 + m, dim + 2:dim + 2 + m] = np.eye(m)
+    A[2 + m:2 + m + dim, :dim] = np.eye(dim)
+    A[2 + m:2 + m + dim, dim + 2 + m:dim + 2 + m + dim] = np.eye(dim)
+    A[2 + m + dim:, :dim] = np.eye(dim)
+    A[2 + m + dim:, dim + 2 + m + dim:] = -np.eye(dim)
+    free = np.zeros(n_var, dtype=bool)
+    free[:dim + 2] = True
+    objective = np.zeros(n_var)
+    objective[dim + 1] = 1.0
     lp = LinearProgram(
-        objective=np.concatenate([np.zeros(dim + 1), [1.0]]),
+        objective=objective,
         A=A,
-        relations=("=", "=") + ("<=",) * m,
-        rhs=np.zeros(2 + m),
-        bounds=[(-1.0, 1.0)] * dim + [(None, None), (None, None)],
+        rhs=np.concatenate([np.zeros(2 + m), np.ones(dim), -np.ones(dim)]),
+        free=free,
         maximize=True,
     )
     return lp_solve(lp)

@@ -1,130 +1,138 @@
 """Tests for the two-phase simplex solver.
 
-Known-answer problems are worked by hand; random instances are cross-checked
-against scipy's HiGHS-based solver as an independent oracle (test-only
-dependency).
+Every problem is in the solver's one shape: equality rows over variables
+that are nonnegative or free, so inequalities and bounds are written with
+explicit slack, surplus and box columns.  Known-answer problems are worked
+by hand; random instances are cross-checked against scipy's HiGHS-based
+solver as an independent oracle (test-only dependency).
 """
 
 import numpy as np
 import pytest
 
-from trigmoment.lp import FEAS_TOL, LinearProgram, LPCertificate, lp_solve
+from trigmoment.lp import FEAS_TOL, LinearProgram, lp_solve
 
 scipy_linprog = pytest.importorskip("scipy.optimize", reason="scipy oracle").linprog
 
 
-def solve(objective, A, relations, rhs, bounds=None, maximize=False):
+def solve(objective, A, rhs, free=None, maximize=False):
     return lp_solve(
-        LinearProgram(
-            objective=np.asarray(objective, dtype=float),
-            A=np.asarray(A, dtype=float),
-            relations=tuple(relations),
-            rhs=np.asarray(rhs, dtype=float),
-            bounds=bounds,
-            maximize=maximize,
-        )
+        LinearProgram(objective=objective, A=A, rhs=rhs, free=free, maximize=maximize)
     )
+
+
+def bounded_instance(rng, m, n, free):
+    """min c @ x st A x = rhs with an optimum: rhs comes from a nonnegative
+    point and c = A.T @ y plus a nonnegative part on the nonnegative
+    variables, so the dual is feasible too."""
+    A = rng.normal(size=(m, n))
+    rhs = A @ rng.uniform(0.1, 1.0, n)
+    c = A.T @ rng.normal(size=m) + np.where(free, 0.0, rng.uniform(0.1, 1.0, n))
+    return c, A, rhs
 
 
 class TestTrivialStatuses:
     def test_bounded_maximum(self):
-        cert = solve([1.0], [[1.0]], ["<="], [1.0], bounds=[(0.0, None)], maximize=True)
+        # max x st x + s = 1, x, s >= 0
+        cert = solve([1.0, 0.0], [[1.0, 1.0]], [1.0], maximize=True)
         assert cert.status == "optimal"
         assert abs(cert.primal[0] - 1.0) < 1e-12
         assert abs(cert.objective_value - 1.0) < 1e-12
 
     def test_infeasible(self):
+        # x - s1 = 1 and x + s2 = 0 with x free, s1, s2 >= 0
         cert = solve(
-            [1.0],
-            [[1.0], [1.0]],
-            [">=", "<="],
+            [1.0, 0.0, 0.0],
+            [[1.0, -1.0, 0.0], [1.0, 0.0, 1.0]],
             [1.0, 0.0],
-            bounds=[(None, None)],
+            free=[True, False, False],
             maximize=True,
         )
         assert cert.status == "infeasible"
 
     def test_unbounded(self):
-        cert = solve([1.0], [[1.0]], [">="], [0.0], maximize=True)
+        # max x st x - s = 0 with x free, s >= 0
+        cert = solve([1.0, 0.0], [[1.0, -1.0]], [0.0], free=[True, False], maximize=True)
         assert cert.status == "unbounded"
 
 
 class TestKnownOptima:
     def test_two_variable_cover(self):
-        # min x + y st x + 2y >= 4, 3x + y >= 6, x, y >= 0 -> 14/5
+        # min x + y st x + 2y - s1 = 4, 3x + y - s2 = 6, all >= 0 -> 14/5
         cert = solve(
-            [1.0, 1.0],
-            [[1.0, 2.0], [3.0, 1.0]],
-            [">=", ">="],
+            [1.0, 1.0, 0.0, 0.0],
+            [[1.0, 2.0, -1.0, 0.0], [3.0, 1.0, 0.0, -1.0]],
             [4.0, 6.0],
-            bounds=[(0.0, None)] * 2,
         )
         assert cert.status == "optimal"
         assert abs(cert.objective_value - 2.8) < 1e-9
-        assert np.allclose(cert.primal, [1.6, 1.2], atol=1e-9)
+        assert np.allclose(cert.primal[:2], [1.6, 1.2], atol=1e-9)
 
     def test_beale_cycling_example(self):
-        # Classic degenerate instance that cycles under naive pivoting;
-        # Bland's rule must terminate at value -0.05.
-        cert = solve(
-            [-0.75, 150.0, -0.02, 6.0],
-            [
-                [0.25, -60.0, -0.04, 9.0],
-                [0.5, -90.0, -0.02, 3.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ],
-            ["<=", "<=", "<="],
-            [0.0, 0.0, 1.0],
-            bounds=[(0.0, None)] * 4,
-        )
+        # Classic degenerate instance that cycles under naive pivoting, with
+        # its three slack columns; Bland's rule must terminate at -0.05.
+        A = np.hstack([
+            [[0.25, -60.0, -0.04, 9.0],
+             [0.5, -90.0, -0.02, 3.0],
+             [0.0, 0.0, 1.0, 0.0]],
+            np.eye(3),
+        ])
+        cert = solve([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0], A, [0.0, 0.0, 1.0])
         assert cert.status == "optimal"
         assert abs(cert.objective_value - (-0.05)) < 1e-9
 
     def test_equality_with_free_variables(self):
-        # min x - y st x + y = 3, x - y >= -1, x and y free -> -1
+        # min x - y st x + y = 3, x - y - s = -1, x and y free, s >= 0 -> -1
         cert = solve(
-            [1.0, -1.0],
-            [[1.0, 1.0], [1.0, -1.0]],
-            ["=", ">="],
+            [1.0, -1.0, 0.0],
+            [[1.0, 1.0, 0.0], [1.0, -1.0, -1.0]],
             [3.0, -1.0],
+            free=[True, True, False],
         )
         assert cert.status == "optimal"
         assert abs(cert.objective_value - (-1.0)) < 1e-9
-        assert np.allclose(cert.primal, [1.0, 2.0], atol=1e-9)
+        assert np.allclose(cert.primal[:2], [1.0, 2.0], atol=1e-9)
 
-    def test_double_bounded_variables(self):
-        cert = solve(
-            [1.0, 1.0],
-            [[1.0, 1.0]],
-            ["<="],
-            [3.0],
-            bounds=[(-1.0, 2.0), (0.0, 5.0)],
-            maximize=True,
-        )
-        assert cert.status == "optimal"
-        assert abs(cert.objective_value - 3.0) < 1e-9
 
-    def test_upper_bounded_only(self):
-        cert = solve([1.0], [[1.0]], [">="], [-10.0], bounds=[(None, 2.0)])
-        assert cert.status == "optimal"
-        assert abs(cert.objective_value - (-10.0)) < 1e-9
+class TestFreeColumns:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_free_variable_is_its_explicit_split(self, seed):
+        # A free variable is solved as a nonnegative column followed right
+        # away by its negation; writing that split out by hand must give
+        # the same bits, which pins the column order.
+        rng = np.random.default_rng(seed)
+        n = 6
+        free = rng.random(n) < 0.5
+        free[seed % n] = True
+        c, A, rhs = bounded_instance(rng, 3, n, free)
+        maximize = seed % 2 == 1
+        if maximize:
+            c = -c
+        cols = [j for j in range(n) for _ in range(1 + free[j])]
+        signs = np.array([s for f in free for s in ((1.0, -1.0) if f else (1.0,))])
+        split = solve(c[cols] * signs, A[:, cols] * signs, rhs, maximize=maximize)
+        mine = solve(c, A, rhs, free=free, maximize=maximize)
+        assert mine.status == split.status == "optimal"
+        expected = np.zeros(n)
+        np.add.at(expected, cols, signs * split.primal)
+        assert np.array_equal(mine.primal, expected)
+        assert np.array_equal(mine.dual, split.dual)
+        assert mine.dual_gap == split.dual_gap
 
 
 class TestCertificates:
     def test_duality_gap_reported(self):
         cert = solve(
-            [1.0, 1.0],
-            [[1.0, 2.0], [3.0, 1.0]],
-            [">=", ">="],
+            [1.0, 1.0, 0.0, 0.0],
+            [[1.0, 2.0, -1.0, 0.0], [3.0, 1.0, 0.0, -1.0]],
             [4.0, 6.0],
-            bounds=[(0.0, None)] * 2,
         )
         assert cert.dual_gap is not None and cert.dual_gap < 1e-8
         assert abs(cert.dual @ np.array([4.0, 6.0]) - 2.8) < 1e-8
 
     def test_farkas_on_infeasible_combination(self):
         # One weight lambda >= 0 with 2*lambda = 1 and lambda = 1 is impossible.
-        cert = solve([0.0], [[2.0], [1.0]], ["=", "="], [1.0, 1.0], bounds=[(0.0, None)])
+        cert = solve([0.0], [[2.0], [1.0]], [1.0, 1.0])
         assert cert.status == "infeasible"
         y = cert.dual
         assert y @ np.array([2.0, 1.0]) <= FEAS_TOL
@@ -135,100 +143,82 @@ class TestCertificates:
         cert = solve(
             [0.0, 0.0, 0.0],
             [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]],
-            ["=", "="],
             [1.0, 0.25],
-            bounds=[(0.0, None)] * 3,
         )
         assert cert.status == "optimal"
         assert np.all(cert.primal >= -1e-12)
         assert abs(cert.primal.sum() - 1.0) < 1e-9
 
 
-class TestInfiniteBounds:
-    def test_infinite_bounds_match_none(self):
-        # min c @ x st A x = b with x0, x1 free and x2..x4 >= 0; c is built
-        # from a dual-feasible y, so the optimum exists.
-        rng = np.random.default_rng(8)
-        A = rng.normal(size=(3, 5))
-        rhs = A @ rng.uniform(0.1, 1.0, 5)
-        c = A.T @ rng.normal(size=3) + np.array([0.0, 0.0, 0.3, 0.7, 1.1])
-        relations = ["="] * 3
-        with_none = solve(c, A, relations, rhs, bounds=[(None, None)] * 2 + [(0.0, None)] * 3)
-        assert with_none.status == "optimal"
-        inf_pairs = [(-np.inf, np.inf)] * 2 + [(0.0, np.inf)] * 3
-        for bounds in (inf_pairs, np.array(inf_pairs)):
-            with_inf = solve(c, A, relations, rhs, bounds=bounds)
-            assert with_inf.status == "optimal"
-            assert np.array_equal(with_inf.primal, with_none.primal)
-            assert np.array_equal(with_inf.dual, with_none.dual)
-            assert with_inf.objective_value == with_none.objective_value
-
-
 class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve([1.0, 2.0], [[1.0]], ["<="], [1.0])
-
-    def test_unknown_relation(self):
-        with pytest.raises(ValueError):
-            solve([1.0], [[1.0]], ["<"], [1.0])
+            solve([1.0, 2.0], [[1.0]], [1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            solve([np.nan], [[1.0]], ["<="], [1.0])
+            solve([np.nan], [[1.0]], [1.0])
 
-    def test_empty_bound_interval(self):
-        with pytest.raises(ValueError):
-            solve([1.0], [[1.0]], ["<="], [1.0], bounds=[(2.0, 1.0)])
+    def test_free_mask_length(self):
+        with pytest.raises(ValueError, match="free mask"):
+            solve([1.0], [[1.0]], [1.0], free=[True, False])
 
 
 class TestDeterminism:
     def test_identical_runs_identical_bits(self):
+        # A x + s = b and x + t = 2 with x, s, t >= 0: the inequality rows
+        # and the box 0 <= x <= 2 spelled out as slack and box columns.
         rng = np.random.default_rng(42)
         A = rng.normal(size=(4, 6))
         b = rng.normal(size=4) + 3.0
         c = rng.normal(size=6)
-        a = solve(c, A, ["<="] * 4, b, bounds=[(0.0, 2.0)] * 6)
-        bb = solve(c, A, ["<="] * 4, b, bounds=[(0.0, 2.0)] * 6)
+        A_eq = np.block([
+            [A, np.eye(4), np.zeros((4, 6))],
+            [np.eye(6), np.zeros((6, 4)), np.eye(6)],
+        ])
+        rhs = np.concatenate([b, np.full(6, 2.0)])
+        objective = np.concatenate([c, np.zeros(10)])
+        a = solve(objective, A_eq, rhs)
+        bb = solve(objective, A_eq, rhs)
         assert a.status == bb.status == "optimal"
         assert np.array_equal(a.primal, bb.primal)
+        assert np.array_equal(a.dual, bb.dual)
 
 
 class TestAgainstScipyOracle:
-    @staticmethod
-    def _to_scipy(c, A, relations, rhs, bounds, maximize):
-        A = np.asarray(A, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        ub_rows = [i for i, r in enumerate(relations) if r == "<="]
-        ge_rows = [i for i, r in enumerate(relations) if r == ">="]
-        eq_rows = [i for i, r in enumerate(relations) if r == "="]
-        A_ub = np.vstack([A[ub_rows], -A[ge_rows]]) if ub_rows or ge_rows else None
-        b_ub = np.concatenate([rhs[ub_rows], -rhs[ge_rows]]) if ub_rows or ge_rows else None
-        A_eq = A[eq_rows] if eq_rows else None
-        b_eq = rhs[eq_rows] if eq_rows else None
-        c_eff = -np.asarray(c, dtype=float) if maximize else np.asarray(c, dtype=float)
-        return c_eff, A_ub, b_ub, A_eq, b_eq
-
     def test_random_instances(self):
+        # Equality rows over mixed nonnegative and free variables.  Half the
+        # right-hand sides come from a nonnegative point (feasible) and half
+        # of the costs are dual-feasible (bounded), so every status occurs.
         rng = np.random.default_rng(2024)
-        for trial in range(40):
-            n = int(rng.integers(2, 6))
-            m = int(rng.integers(1, 7))
-            A = rng.normal(size=(m, n))
-            rhs = rng.normal(size=m)
-            c = rng.normal(size=n)
-            relations = [str(rng.choice(["<=", ">=", "="])) for _ in range(m)]
-            bounds = [(-2.0, 3.0)] * n  # boxed: always bounded
+        seen = set()
+        for trial in range(60):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(m + 1, 8))
+            free = rng.random(n) < 0.3
+            c, A, rhs = bounded_instance(rng, m, n, free)
+            if rng.random() < 0.5:
+                rhs = rng.normal(size=m)
+            if rng.random() < 0.5:
+                c = rng.normal(size=n)
             maximize = bool(rng.integers(0, 2))
-            mine = solve(c, A, relations, rhs, bounds=bounds, maximize=maximize)
-            c_eff, A_ub, b_ub, A_eq, b_eq = self._to_scipy(c, A, relations, rhs, bounds, maximize)
+            if maximize:
+                c = -c
+            mine = solve(c, A, rhs, free=free, maximize=maximize)
             ref = scipy_linprog(
-                c_eff, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                bounds=bounds, method="highs",
+                -c if maximize else c, A_eq=A, b_eq=rhs,
+                bounds=[(None, None) if f else (0.0, None) for f in free],
+                method="highs",
             )
-            if ref.status == 2:
-                assert mine.status == "infeasible", f"trial {trial}"
-            else:
-                assert ref.status == 0 and mine.status == "optimal", f"trial {trial}"
+            expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+            assert mine.status == expected, f"trial {trial}"
+            seen.add(expected)
+            if expected == "optimal":
                 ref_val = -ref.fun if maximize else ref.fun
                 assert abs(mine.objective_value - ref_val) < 1e-6, f"trial {trial}"
+            elif expected == "infeasible":
+                # Farkas: y @ A <= 0 on nonnegative columns, = 0 on free ones.
+                yA = mine.dual @ A
+                assert np.all(yA[~free] <= 1e-7) and np.all(np.abs(yA[free]) <= 1e-7)
+                assert mine.dual @ rhs > 0.0
+        assert seen == {"optimal", "infeasible", "unbounded"}
