@@ -435,28 +435,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "identities": lambda a: cmd_identities(a.k, a.tol),
+    "facets": lambda a: cmd_facets(a.k, a.tol),
+    "roots": lambda a: cmd_roots(a.k, a.tol),
+    "witness": lambda a: cmd_witness(a.k, a.tol),
+    "tangent-cone": lambda a: cmd_tangent_cone(a.k, a.epsilon),
+    "threshold": lambda a: cmd_threshold(a.k, a.samples, a.resolution, a.tol),
+    "edge": lambda a: cmd_edge(a.k, a.alpha, a.beta, a.samples),
+    "membership": lambda a: cmd_membership(a.k, point=a.point, theta=a.theta,
+                                           iters=a.iters, tol=a.tol),
+    "plot-data": lambda a: cmd_plot_data(a.kind, a.k, a.out, a.samples),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "identities":
-            report = cmd_identities(args.k, args.tol)
-        elif args.command == "facets":
-            report = cmd_facets(args.k, args.tol)
-        elif args.command == "roots":
-            report = cmd_roots(args.k, args.tol)
-        elif args.command == "witness":
-            report = cmd_witness(args.k, args.tol)
-        elif args.command == "tangent-cone":
-            report = cmd_tangent_cone(args.k, args.epsilon)
-        elif args.command == "threshold":
-            report = cmd_threshold(args.k, args.samples, args.resolution, args.tol)
-        elif args.command == "edge":
-            report = cmd_edge(args.k, args.alpha, args.beta, args.samples)
-        elif args.command == "membership":
-            report = cmd_membership(args.k, point=args.point, theta=args.theta,
-                                    iters=args.iters, tol=args.tol)
-        else:
-            report = cmd_plot_data(args.kind, args.k, args.out, args.samples)
+        report = _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

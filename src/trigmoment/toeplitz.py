@@ -17,8 +17,10 @@ reported as "not_member_likely" (the method cannot certify exclusion).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +39,20 @@ class MembershipVerdict:
     ``matrix`` is the final affine-feasible iterate; for "member" verdicts
     its smallest eigenvalue (recorded in ``smallest_eigenvalue``) certifies
     positive semidefiniteness to within the tolerance used.
+
+    ``stop`` names the rule that ended the search: "psd" (an iterate, or
+    one of the two starts when ``iterations`` is 0, was PSD within tol),
+    "rank_one_polish" (a stall was resolved by the single-angle
+    completion), "stall_far" / "stall_near" (a stall with the best
+    smallest eigenvalue below / at or above -10*tol), or "budget" (the
+    iteration budget ran out).
     """
 
     status: str  # "member", "not_member_likely", or "inconclusive"
     matrix: np.ndarray
     smallest_eigenvalue: float
     iterations: int
+    stop: str
 
 
 def _first_row(point: np.ndarray, even_entries: np.ndarray) -> np.ndarray:
@@ -54,11 +64,42 @@ def _first_row(point: np.ndarray, even_entries: np.ndarray) -> np.ndarray:
     return row
 
 
-def _from_first_row(row: np.ndarray) -> np.ndarray:
-    n = row.shape[0]
+class _Structure(NamedTuple):
+    """Index arrays of the n x n Toeplitz pattern, shared read-only.
+
+    The flat entries taken in ``diag_order`` run through the diagonals
+    j - i = -(n-1), ..., n-1, each starting at its ``diag_starts`` entry, so
+    one ``np.add.reduceat`` sums every diagonal with O(n^2) memory.
+    """
+
+    abs_dist: np.ndarray  # |j - i|
+    upper: np.ndarray  # j >= i
+    diag_order: np.ndarray
+    diag_starts: np.ndarray
+    lengths: np.ndarray  # n - d, the length of diagonal d >= 0
+    fixed: np.ndarray  # distance 0 and the odd distances carry the point
+
+
+@functools.lru_cache(maxsize=None)
+def _structure(n: int) -> _Structure:
     dist = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
-    vals = row[np.abs(dist)]
-    return np.where(dist >= 0, vals, np.conj(vals))
+    lengths = np.arange(n, 0, -1)
+    all_lengths = np.concatenate([lengths[:0:-1], lengths])
+    fixed = np.arange(n) % 2 == 1
+    fixed[0] = True
+    parts = _Structure(np.abs(dist), dist >= 0,
+                       np.argsort(dist.reshape(-1), kind="stable"),
+                       np.cumsum(all_lengths) - all_lengths,
+                       lengths.astype(float), fixed)
+    for a in parts:
+        a.setflags(write=False)
+    return parts
+
+
+def _from_first_row(row: np.ndarray) -> np.ndarray:
+    s = _structure(row.shape[0])
+    vals = row[s.abs_dist]
+    return np.where(s.upper, vals, np.conj(vals))
 
 
 def toeplitz_assemble(point, even_entries) -> np.ndarray:
@@ -89,18 +130,15 @@ def min_eigenvalue(matrix) -> float:
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def _affine_project(S: np.ndarray, fixed_row: np.ndarray, fixed_mask: np.ndarray) -> np.ndarray:
+def _affine_project(S: np.ndarray, fixed_row: np.ndarray) -> np.ndarray:
     """Nearest Toeplitz matrix agreeing with the fixed diagonals: free
     diagonals are averaged, fixed ones reset."""
     n = S.shape[0]
-    row = np.empty(n, dtype=complex)
-    for d in range(n):
-        if fixed_mask[d]:
-            row[d] = fixed_row[d]
-        else:
-            upper = np.mean(np.diagonal(S, offset=d))
-            lower = np.mean(np.diagonal(S, offset=-d))
-            row[d] = 0.5 * (upper + np.conj(lower))
+    s = _structure(n)
+    sums = np.add.reduceat(S.reshape(-1)[s.diag_order], s.diag_starts)
+    upper = sums[n - 1:] / s.lengths
+    lower = sums[n - 1::-1] / s.lengths
+    row = np.where(s.fixed, fixed_row, 0.5 * (upper + np.conj(lower)))
     return _from_first_row(row)
 
 
@@ -127,10 +165,6 @@ def toeplitz_membership(k: int, point, tol: float = 1e-8,
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 
-    n = 2 * k
-    fixed_mask = np.zeros(n, dtype=bool)
-    fixed_mask[0] = True
-    fixed_mask[1::2] = True
     fixed_row = _first_row(point, np.zeros(k - 1, dtype=complex))
 
     theta_hat = math.atan2(point[k], point[0])
@@ -143,7 +177,7 @@ def toeplitz_membership(k: int, point, tol: float = 1e-8,
         M = toeplitz_assemble(point, even)
         smallest = min_eigenvalue(M)
         if smallest >= -tol:
-            return MembershipVerdict("member", M, smallest, 0)
+            return MembershipVerdict("member", M, smallest, 0, "psd")
         if smallest > best_eig:
             best_start, best_eig = M, smallest
 
@@ -153,7 +187,8 @@ def toeplitz_membership(k: int, point, tol: float = 1e-8,
     for iteration in range(1, max_iterations + 1):
         eigvals, eigvecs = np.linalg.eigh(M)
         if eigvals[0] >= -tol:
-            return MembershipVerdict("member", M, float(eigvals[0]), iteration)
+            return MembershipVerdict("member", M, float(eigvals[0]), iteration,
+                                     "psd")
         if eigvals[0] > best_seen + 1e-13:
             best_seen = float(eigvals[0])
             stall = 0
@@ -163,16 +198,21 @@ def toeplitz_membership(k: int, point, tol: float = 1e-8,
                 polished = _rank_one_polish(point, eigvecs[:, -1], tol)
                 if polished is not None:
                     return MembershipVerdict(
-                        "member", polished[0], polished[1], iteration
+                        "member", polished[0], polished[1], iteration,
+                        "rank_one_polish"
                     )
-                status = ("not_member_likely" if best_seen < -10.0 * tol
-                          else "inconclusive")
-                return MembershipVerdict(status, M, min_eigenvalue(M), iteration)
-        psd = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
-        M = _affine_project(psd, fixed_row, fixed_mask)
+                if best_seen < -10.0 * tol:
+                    status, stop = "not_member_likely", "stall_far"
+                else:
+                    status, stop = "inconclusive", "stall_near"
+                return MembershipVerdict(status, M, min_eigenvalue(M), iteration,
+                                         stop)
+        psd = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
+        M = _affine_project(psd, fixed_row)
     # Ran out of iterations while the smallest eigenvalue was still rising:
     # too slow to certify, but no evidence of infeasibility either.
-    return MembershipVerdict("inconclusive", M, min_eigenvalue(M), iteration)
+    return MembershipVerdict("inconclusive", M, min_eigenvalue(M), iteration,
+                             "budget")
 
 
 def _rank_one_polish(point: np.ndarray, dominant: np.ndarray, tol: float):

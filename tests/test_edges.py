@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from trigmoment.angles import rational_angle
+from trigmoment.angles import rational_angle, symmetric_curve_samples
 from trigmoment.edges import (
     GUARD_BAND,
     EvidenceContradictionError,
@@ -147,6 +147,18 @@ class TestEdgeVerdict:
         assert v.is_edge
         probe = midpoint_interiority(2, 0.5 * v.arc_length, 2000)
         assert probe.verdict != "interior"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the certificate is checked on its sample grid only, minus ten "
+        "spacings around each endpoint; the curve crosses it near t = 0.725"))
+    def test_certificate_holds_on_the_continuous_curve(self):
+        v = edge_verdict(5, 0.7, 0.75, 1500)
+        assert v.verdict == "edge"
+        functional = v.certificate.functional
+        ts = np.linspace(0.0, 2.0 * math.pi, 400_001)
+        values = functional.constant + symmetric_curve_samples(5, ts) @ functional.coeffs
+        # 1e-12 absorbs rounding at grid points next to the pinned endpoints.
+        assert values.max() <= 1e-12
 
     def test_coincident_angles_rejected(self):
         with pytest.raises(ValueError):

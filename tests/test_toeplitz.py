@@ -14,6 +14,7 @@ import pytest
 from trigmoment.angles import symmetric_curve, symmetric_curve_samples
 from trigmoment.hull import in_hull
 from trigmoment.toeplitz import (
+    _affine_project,
     min_eigenvalue,
     toeplitz_assemble,
     toeplitz_membership,
@@ -48,6 +49,44 @@ def smallest_eig_by_cholesky_bisection(A: np.ndarray, iters: int = 200) -> float
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def affine_project_by_diagonals(S: np.ndarray, fixed_row: np.ndarray) -> np.ndarray:
+    """Reference projection, one diagonal at a time: fixed diagonals (distance
+    0 and the odd distances) are reset, each free diagonal pair is averaged."""
+    n = S.shape[0]
+    row = np.empty(n, dtype=complex)
+    for d in range(n):
+        if d == 0 or d % 2 == 1:
+            row[d] = fixed_row[d]
+        else:
+            upper = np.mean(np.diagonal(S, offset=d))
+            lower = np.mean(np.diagonal(S, offset=-d))
+            row[d] = 0.5 * (upper + np.conj(lower))
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = row[j - i] if j >= i else np.conj(row[i - j])
+    return out
+
+
+class TestAffineProjection:
+    def test_matches_per_diagonal_reference(self):
+        rng = np.random.default_rng(5)
+        for n in range(2, 13):
+            fixed_row = rng.normal(size=n) + 1j * rng.normal(size=n)
+            fixed_row[0] = 1.0
+            fixed = (np.arange(n) == 0) | (np.arange(n) % 2 == 1)
+            for hermitian in (True, False):
+                R = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                S = 0.5 * (R + R.conj().T) if hermitian else R
+                got = _affine_project(S, fixed_row)
+                want = affine_project_by_diagonals(S, fixed_row)
+                assert np.max(np.abs(got - want)) <= 1e-12
+                # Fixed entries are copied, not recomputed.
+                for d in np.flatnonzero(fixed):
+                    assert np.all(np.diagonal(got, offset=d) == fixed_row[d])
+                    assert np.all(np.diagonal(got, offset=-d) == np.conj(fixed_row[d]))
 
 
 class TestAssemble:
@@ -116,6 +155,7 @@ class TestMembership:
             for theta in (0.0, 0.7, 2.5, 4.8):
                 verdict = toeplitz_membership(k, symmetric_curve(k, theta).coords)
                 assert verdict.status == "member"
+                assert (verdict.stop, verdict.iterations) == ("psd", 0)
                 assert abs(verdict.smallest_eigenvalue) <= 1e-8
                 eigs = np.linalg.eigvalsh(verdict.matrix)
                 assert abs(eigs[-1] - 2 * k) < 1e-6  # near rank one
@@ -145,14 +185,19 @@ class TestMembership:
             assert verdict.iterations == 0
 
     def test_interior_combination_is_member(self):
-        k = 2
-        thetas = [0.3, 2.1, 4.4]
-        weights = [0.25, 0.4, 0.35]
-        point = sum(
-            w * symmetric_curve(k, t).coords for w, t in zip(weights, thetas)
-        )
-        verdict = toeplitz_membership(k, point)
-        assert verdict.status == "member"
+        # The first mixture is accepted at a start, the second by iterating.
+        for k, scale, weights, iterates in (
+            (2, 1.0, (0.25, 0.4, 0.35), False),
+            (3, 0.9, (1 / 3, 1 / 3, 1 / 3), True),
+        ):
+            point = scale * sum(
+                w * symmetric_curve(k, t).coords
+                for w, t in zip(weights, (0.3, 2.1, 4.4))
+            )
+            verdict = toeplitz_membership(k, point)
+            assert verdict.status == "member"
+            assert verdict.stop == "psd"
+            assert (verdict.iterations > 0) == iterates
 
     def test_slow_deep_member_is_inconclusive_not_refused(self):
         # A three-point combination at k=3 admits a strictly positive
@@ -165,6 +210,7 @@ class TestMembership:
         ) / 3.0
         verdict = toeplitz_membership(k, point)
         assert verdict.status == "inconclusive"
+        assert (verdict.stop, verdict.iterations) == ("budget", 2000)
         assert -1e-4 < verdict.smallest_eigenvalue < 0.0
         # A tolerance matching the attainable accuracy resolves it.
         relaxed = toeplitz_membership(k, point, tol=1e-5)
@@ -175,6 +221,16 @@ class TestMembership:
         point = 1.1 * symmetric_curve(k, 0.7).coords
         verdict = toeplitz_membership(k, point)
         assert verdict.status == "not_member_likely"
+        assert verdict.stop == "stall_far"
+
+    def test_stall_within_ten_tolerances_is_inconclusive(self):
+        # Just outside the curve, the smallest eigenvalue stalls at about
+        # -1.33e-5: below -tol, but not below -10*tol.
+        point = 1.00001 * symmetric_curve(2, 0.7).coords
+        verdict = toeplitz_membership(2, point, tol=4e-6)
+        assert verdict.status == "inconclusive"
+        assert verdict.stop == "stall_near"
+        assert -4e-5 < verdict.smallest_eigenvalue < -4e-6
 
     def test_coordinate_overflow_is_refused(self):
         verdict = toeplitz_membership(2, np.array([1.2, 0.0, 0.0, 0.0]))
