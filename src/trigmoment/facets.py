@@ -24,6 +24,7 @@ make the construction work.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ from trigmoment.angles import (
     rational_angle,
 )
 
-# Tolerance ladder, single source of truth for the geometric checks.
+# Tolerance ladder of this module's geometric checks (the LP, hull, edge and
+# Toeplitz layers keep their own tolerances).
 ZERO_TOL = 1e-10   # structural zeros (vanishing pattern, root residuals)
 RECON_TOL = 1e-12  # convex-combination reconstructions
 DERIV_TOL = 1e-8   # derivative nonvanishing (multiplicity-one roots)
@@ -261,6 +263,58 @@ def inner_simplex(k: int) -> SimplexSpec:
 _IDENTITY_KINDS = ("node-sum", "frequency-sum", "product-sum")
 
 
+def _node_cosines(k: int) -> list[tuple[float, ...]]:
+    """Table of cos((2l-1) * theta_j) at the nodes theta_j = 2j*pi/(2k-1).
+
+    Entry ``[j][l - 1]`` is ``cos_at(2l - 1, rational_angle(2j, 2k - 1))``
+    for j = 0..2k-2 and l = 1..k-1: the very values the per-term sums use,
+    so sums over the table reproduce them bit for bit.
+    """
+    n = 2 * k - 1
+    nodes = [rational_angle(2 * j, n) for j in range(n)]
+    rows = [[cos_at(2 * l - 1, a) for a in nodes] for l in range(1, k)]
+    return list(zip(*rows))
+
+
+def _identity_residual(table: list[tuple[float, ...]], which: str, idx) -> float:
+    """|sum - (-1/2)| of one identity instance from the node-cosine table,
+    summed with builtin ``sum`` in the order of the definitions in
+    ``trig_identity_residual``: over j for node-sum, over l otherwise."""
+    if which == "node-sum":
+        k = len(table[0]) + 1
+        s = sum(table[j][idx - 1] for j in range(1, k))
+    elif which == "frequency-sum":
+        s = sum(table[idx])
+    else:
+        i, j = idx
+        s = sum(map(operator.mul, table[i], table[j]))
+    return abs(s - (-0.5))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_index(which: str, k: int, idx) -> None:
+    """Raise ValueError unless idx is a valid index of the identity kind."""
+    if which == "node-sum":
+        if not (_is_int(idx) and 1 <= idx <= k - 1):
+            raise ValueError(
+                f"node-sum index must be an integer l in 1..{k - 1}, got {idx!r}")
+    elif which == "frequency-sum":
+        if not (_is_int(idx) and 1 <= idx <= 2 * k - 2):
+            raise ValueError(
+                f"frequency-sum index must be an integer j in 1..{2 * k - 2}, got {idx!r}")
+    elif which == "product-sum":
+        pair = isinstance(idx, (tuple, list)) and len(idx) == 2 and all(map(_is_int, idx))
+        if not (pair and idx[0] != idx[1] and all(0 <= v <= k - 1 for v in idx)):
+            raise ValueError(
+                f"product-sum index must be a pair (i, j) of integers with "
+                f"i != j in 0..{k - 1}, got {idx!r}")
+    else:
+        raise ValueError(f"unknown identity kind {which!r}; choose from {_IDENTITY_KINDS}")
+
+
 def trig_identity_residual(which: str, k: int, idx) -> float:
     """|sum - (-1/2)| for one instance of a node-angle cosine identity.
 
@@ -271,49 +325,36 @@ def trig_identity_residual(which: str, k: int, idx) -> float:
     which = "product-sum":   sum_{l=1}^{k-1} cos((2l-1) * 2i*pi/(2k-1))
                                            * cos((2l-1) * 2j*pi/(2k-1)),
                              idx = (i, j) with i != j in 0..k-1.
+
+    A malformed index (wrong type or out of range) raises ValueError.  The
+    sum comes from the whole node-cosine table of this k, the same code
+    ``all_trig_identity_residuals`` uses, so one instance costs
+    (k-1)(2k-1) cosine evaluations (~4.9 k at k = 50); loop over
+    ``all_trig_identity_residuals`` for many instances.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    n = 2 * k - 1
-    if which == "node-sum":
-        l = idx
-        if not 1 <= l <= k - 1:
-            raise ValueError(f"node-sum index must be in 1..{k - 1}, got {l}")
-        s = sum(cos_at(2 * l - 1, rational_angle(2 * j, n)) for j in range(1, k))
-    elif which == "frequency-sum":
-        j = idx
-        if not 1 <= j <= 2 * k - 2:
-            raise ValueError(f"frequency-sum index must be in 1..{2 * k - 2}, got {j}")
-        node = rational_angle(2 * j, n)
-        s = sum(cos_at(2 * l - 1, node) for l in range(1, k))
-    elif which == "product-sum":
-        i, j = idx
-        if i == j or not (0 <= i <= k - 1 and 0 <= j <= k - 1):
-            raise ValueError(f"product-sum needs i != j in 0..{k - 1}, got {idx}")
-        ai, aj = rational_angle(2 * i, n), rational_angle(2 * j, n)
-        s = sum(
-            cos_at(2 * l - 1, ai) * cos_at(2 * l - 1, aj) for l in range(1, k)
-        )
-    else:
-        raise ValueError(f"unknown identity kind {which!r}; choose from {_IDENTITY_KINDS}")
-    return abs(s - (-0.5))
+    _check_index(which, k, idx)
+    return _identity_residual(_node_cosines(k), which, idx)
 
 
 def all_trig_identity_residuals(k: int) -> list[tuple[str, object, float]]:
-    """Every identity instance for this k as (kind, index, residual)."""
+    """Every identity instance for this k as (kind, index, residual).
+
+    All sums come from one node-cosine table; each product-sum is computed
+    for i < j and reused for (j, i), as the product is commutative in
+    floating point.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    out = []
-    for l in range(1, k):
-        out.append(("node-sum", l, trig_identity_residual("node-sum", k, l)))
-    for j in range(1, 2 * k - 1):
-        out.append(("frequency-sum", j, trig_identity_residual("frequency-sum", k, j)))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                out.append(
-                    ("product-sum", (i, j), trig_identity_residual("product-sum", k, (i, j)))
-                )
+    table = _node_cosines(k)
+    out = [("node-sum", l, _identity_residual(table, "node-sum", l)) for l in range(1, k)]
+    out += [("frequency-sum", j, _identity_residual(table, "frequency-sum", j))
+            for j in range(1, 2 * k - 1)]
+    products = {(i, j): _identity_residual(table, "product-sum", (i, j))
+                for i in range(k) for j in range(i + 1, k)}
+    out += [("product-sum", (i, j), products[min(i, j), max(i, j)])
+            for i in range(k) for j in range(k) if i != j]
     return out
 
 

@@ -42,10 +42,9 @@ class MembershipVerdict:
 
     ``stop`` names the rule that ended the search: "psd" (an iterate, or
     one of the two starts when ``iterations`` is 0, was PSD within tol),
-    "rank_one_polish" (a stall was resolved by the single-angle
-    completion), "stall_far" / "stall_near" (a stall with the best
-    smallest eigenvalue below / at or above -10*tol), or "budget" (the
-    iteration budget ran out).
+    "stall_far" / "stall_near" (a stall with the best smallest eigenvalue
+    below / at or above -10*tol), or "budget" (the iteration budget ran
+    out).
     """
 
     status: str  # "member", "not_member_likely", or "inconclusive"
@@ -149,11 +148,10 @@ def toeplitz_membership(k: int, point, tol: float = 1e-8,
     Tries two deterministic starting completions (all-zero free entries,
     and the rank-one completion suggested by the phase of the first
     coordinate pair), then alternates projections between the PSD cone and
-    the affine completion set.  Stalls trigger a rank-one polish that snaps
-    the dominant eigenvector to the nearest single-angle completion; if
-    that fails, a stall far from feasibility (smallest eigenvalue below
-    -10*tol) means "not_member_likely", while a stall close to feasibility
-    or exhausting the iteration budget mid-improvement is "inconclusive".
+    the affine completion set.  A stall far from feasibility (smallest
+    eigenvalue below -10*tol) means "not_member_likely", while a stall close
+    to feasibility or exhausting the iteration budget mid-improvement is
+    "inconclusive".
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -195,12 +193,6 @@ def toeplitz_membership(k: int, point, tol: float = 1e-8,
         else:
             stall += 1
             if stall >= 60:
-                polished = _rank_one_polish(point, eigvecs[:, -1], tol)
-                if polished is not None:
-                    return MembershipVerdict(
-                        "member", polished[0], polished[1], iteration,
-                        "rank_one_polish"
-                    )
                 if best_seen < -10.0 * tol:
                     status, stop = "not_member_likely", "stall_far"
                 else:
@@ -214,17 +206,3 @@ def toeplitz_membership(k: int, point, tol: float = 1e-8,
     return MembershipVerdict("inconclusive", M, min_eigenvalue(M), iteration,
                              "budget")
 
-
-def _rank_one_polish(point: np.ndarray, dominant: np.ndarray, tol: float):
-    """Try the single-angle completion nearest to a dominant eigenvector."""
-    k = point.size // 2
-    steps = dominant[1:] * np.conj(dominant[:-1])
-    if float(np.abs(steps).min()) < 1e-12:
-        return None
-    theta = -float(np.angle(np.mean(steps / np.abs(steps))))
-    even = np.exp(1j * 2.0 * theta * np.arange(1, k))
-    M = toeplitz_assemble(point, even)
-    smallest = min_eigenvalue(M)
-    if smallest >= -tol:
-        return M, smallest
-    return None

@@ -103,6 +103,17 @@ class TestReports:
         assert report["instances"] == "12"
         assert float(report["max_residual"]) < 1e-15
 
+    def test_identities_report_at_k50(self, capsys):
+        k = 50
+        expected = (k - 1) + (2 * k - 2) + k * (k - 1)
+        code, out, _ = run_cli(capsys, "identities", "--k", str(k))
+        assert code == 0
+        assert expected == 2597
+        assert sum(line.startswith("identity ") for line in out.splitlines()) == expected
+        report = report_dict(out)
+        assert report["instances"] == str(expected)
+        assert report["status"] == "pass"
+
     def test_facets_report(self, capsys):
         code, out, _ = run_cli(capsys, "facets", "--k", "4")
         report = report_dict(out)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from trigmoment.angles import rational_angle
+from trigmoment.angles import cos_at, rational_angle
 from trigmoment.facets import (
     DERIV_TOL,
     RECON_TOL,
@@ -33,6 +33,28 @@ from trigmoment.facets import (
 
 COS_72 = (math.sqrt(5.0) - 1.0) / 4.0   # cos(2*pi/5)
 COS_36 = (math.sqrt(5.0) + 1.0) / 4.0   # cos(pi/5)
+
+
+def reference_identity_residual(which, k, idx):
+    """One identity residual summed term by term, a cosine per term: the
+    definition the table-based sums must reproduce bit for bit."""
+    n = 2 * k - 1
+    if which == "node-sum":
+        s = sum(cos_at(2 * idx - 1, rational_angle(2 * j, n)) for j in range(1, k))
+    elif which == "frequency-sum":
+        node = rational_angle(2 * idx, n)
+        s = sum(cos_at(2 * l - 1, node) for l in range(1, k))
+    else:
+        ai, aj = (rational_angle(2 * v, n) for v in idx)
+        s = sum(cos_at(2 * l - 1, ai) * cos_at(2 * l - 1, aj) for l in range(1, k))
+    return abs(s - (-0.5))
+
+
+def reference_identity_instances(k):
+    """(kind, index) of every identity instance, in report order."""
+    return ([("node-sum", l) for l in range(1, k)]
+            + [("frequency-sum", j) for j in range(1, 2 * k - 1)]
+            + [("product-sum", (i, j)) for i in range(k) for j in range(k) if i != j])
 
 
 class TestNodes:
@@ -283,6 +305,20 @@ class TestTrigIdentities:
             with pytest.raises(ValueError, match=f"k must be >= 2, got {k}"):
                 all_trig_identity_residuals(k)
 
+    def test_all_residuals_bit_identical_to_per_term_sums_k2_to_50(self):
+        for k in range(2, 51):
+            got = [(w, idx, r.hex()) for w, idx, r in all_trig_identity_residuals(k)]
+            want = [(w, idx, reference_identity_residual(w, k, idx).hex())
+                    for w, idx in reference_identity_instances(k)]
+            assert got == want, f"k={k}"
+
+    def test_single_residual_bit_identical_to_per_term_sum_k2_to_8(self):
+        for k in range(2, 9):
+            for which, idx in reference_identity_instances(k):
+                got = trig_identity_residual(which, k, idx)
+                want = reference_identity_residual(which, k, idx)
+                assert got.hex() == want.hex(), (which, k, idx)
+
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             trig_identity_residual("node-sum", 3, 3)
@@ -292,6 +328,20 @@ class TestTrigIdentities:
             trig_identity_residual("product-sum", 3, (1, 1))
         with pytest.raises(ValueError):
             trig_identity_residual("mystery", 3, 1)
+        # Malformed indices name the expected form instead of failing inside
+        # the sum (TypeError) or being accepted (a float or bool index).
+        for which, idx, form in [
+            ("product-sum", 1, "pair"),
+            ("product-sum", (0, 1, 2), "pair"),
+            ("product-sum", (0.0, 1), "pair"),
+            ("node-sum", (0, 1), "integer l"),
+            ("node-sum", 1.0, "integer l"),
+            ("node-sum", None, "integer l"),
+            ("frequency-sum", True, "integer j"),
+            ("frequency-sum", 2.0, "integer j"),
+        ]:
+            with pytest.raises(ValueError, match=f"{which} index must be .*{form}"):
+                trig_identity_residual(which, 3, idx)
 
 
 class TestBisectRoots:
