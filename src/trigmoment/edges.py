@@ -158,7 +158,7 @@ def estimate_threshold(k: int, num_samples: int = 4000,
         raise ValueError(f"k must be >= 2, got {k}")
     if num_samples < 1000:
         raise ValueError(f"num_samples must be >= 1000, got {num_samples}")
-    if resolution < 1e-4:
+    if not resolution >= 1e-4:
         raise ValueError(f"resolution must be >= 1e-4, got {resolution}")
 
     def is_interior(theta: float) -> bool:

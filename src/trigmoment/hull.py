@@ -120,7 +120,7 @@ def interiority_probe(query, points, delta: float) -> HullVerdict:
     combination of sample points and needs no LP; only the other probes
     (all of them if the simplex is singular) get a full ``in_hull`` solve.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     query = np.asarray(query, dtype=float)
     points = np.asarray(points, dtype=float)

@@ -9,7 +9,9 @@ curve point at angle theta admits the rank-one completion v v*, with
 v_j = exp(-i j theta), and convex combinations inherit PSD completions.
 
 Membership is decided by alternating projections between the positive
-semidefinite cone and the affine set of admissible completions.  A "member"
+semidefinite cone and the affine set of admissible completions, run in the
+real symmetric frame Q* T Q, Q = [[I, iI], [J, -iJ]] / sqrt(2) (J the
+exchange matrix), which keeps T's spectrum (Lee, LAA 29, 1980).  A "member"
 verdict is certified: the returned matrix satisfies the affine constraints
 exactly and its smallest eigenvalue is above -tol.  Failure to converge is
 reported as "not_member_likely" (the method cannot certify exclusion).
@@ -31,6 +33,11 @@ __all__ = [
     "toeplitz_membership",
 ]
 
+# A rise of the smallest eigenvalue by less than this is rounding, not progress.
+STALL_GAIN = 1e-13
+# Iterations without such a rise before the search counts as stalled.
+STALL_PATIENCE = 60
+
 
 @dataclass(frozen=True, eq=False)
 class MembershipVerdict:
@@ -38,7 +45,8 @@ class MembershipVerdict:
 
     ``matrix`` is the final affine-feasible iterate; for "member" verdicts
     its smallest eigenvalue (recorded in ``smallest_eigenvalue``) certifies
-    positive semidefiniteness to within the tolerance used.
+    positive semidefiniteness to within the tolerance used; it is computed
+    on the returned complex matrix itself, not on the real-frame iterate.
 
     ``stop`` names the rule that ended the search: "psd" (an iterate, or
     one of the two starts when ``iterations`` is 0, was PSD within tol),
@@ -54,51 +62,21 @@ class MembershipVerdict:
     stop: str
 
 
-def _first_row(point: np.ndarray, even_entries: np.ndarray) -> np.ndarray:
-    k = point.size // 2
-    row = np.empty(2 * k, dtype=complex)
-    row[0] = 1.0
-    row[1::2] = point[:k] + 1j * point[k:]
-    row[2::2] = even_entries
-    return row
-
-
-class _Structure(NamedTuple):
-    """Index arrays of the n x n Toeplitz pattern, shared read-only.
-
-    The flat entries taken in ``diag_order`` run through the diagonals
-    j - i = -(n-1), ..., n-1, each starting at its ``diag_starts`` entry, so
-    one ``np.add.reduceat`` sums every diagonal with O(n^2) memory.
-    """
-
-    abs_dist: np.ndarray  # |j - i|
-    upper: np.ndarray  # j >= i
-    diag_order: np.ndarray
-    diag_starts: np.ndarray
-    lengths: np.ndarray  # n - d, the length of diagonal d >= 0
-    fixed: np.ndarray  # distance 0 and the odd distances carry the point
-
-
 @functools.lru_cache(maxsize=None)
-def _structure(n: int) -> _Structure:
+def _structure(n: int) -> tuple:
+    """|j - i| and the mask j >= i of the n x n Toeplitz pattern, read-only."""
     dist = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
-    lengths = np.arange(n, 0, -1)
-    all_lengths = np.concatenate([lengths[:0:-1], lengths])
-    fixed = np.arange(n) % 2 == 1
-    fixed[0] = True
-    parts = _Structure(np.abs(dist), dist >= 0,
-                       np.argsort(dist.reshape(-1), kind="stable"),
-                       np.cumsum(all_lengths) - all_lengths,
-                       lengths.astype(float), fixed)
+    parts = (np.abs(dist), dist >= 0)
     for a in parts:
         a.setflags(write=False)
     return parts
 
 
 def _from_first_row(row: np.ndarray) -> np.ndarray:
-    s = _structure(row.shape[0])
-    vals = row[s.abs_dist]
-    return np.where(s.upper, vals, np.conj(vals))
+    """Hermitian Toeplitz matrices from first rows (stacked along axis 0)."""
+    abs_dist, upper = _structure(row.shape[-1])
+    vals = row[..., abs_dist]
+    return np.where(upper, vals, np.conj(vals))
 
 
 def toeplitz_assemble(point, even_entries) -> np.ndarray:
@@ -117,7 +95,11 @@ def toeplitz_assemble(point, even_entries) -> np.ndarray:
             f"expected {k - 1} free entries for a point of length {2 * k}, "
             f"got {even_entries.shape}"
         )
-    return _from_first_row(_first_row(point, even_entries))
+    row = np.empty(2 * k, dtype=complex)
+    row[0] = 1.0
+    row[1::2] = point[:k] + 1j * point[k:]
+    row[2::2] = even_entries
+    return _from_first_row(row)
 
 
 def min_eigenvalue(matrix) -> float:
@@ -129,16 +111,32 @@ def min_eigenvalue(matrix) -> float:
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def _affine_project(S: np.ndarray, fixed_row: np.ndarray) -> np.ndarray:
-    """Nearest Toeplitz matrix agreeing with the fixed diagonals: free
-    diagonals are averaged, fixed ones reset."""
-    n = S.shape[0]
-    s = _structure(n)
-    sums = np.add.reduceat(S.reshape(-1)[s.diag_order], s.diag_starts)
-    upper = sums[n - 1:] / s.lengths
-    lower = sums[n - 1::-1] / s.lengths
-    row = np.where(s.fixed, fixed_row, 0.5 * (upper + np.conj(lower)))
-    return _from_first_row(row)
+class _Frame(NamedTuple):
+    """The real symmetric frame S = Re(Q* T Q) of the 2k x 2k completions.
+
+    Column 2m (2m+1) of ``B`` is the flat image of the real (imaginary) unit
+    at distance 2m+2.  The columns are orthogonal to each other and to the
+    fixed diagonals, so ``Bp @ S.ravel()`` projects S onto the free entries.
+    """
+
+    Q: np.ndarray
+    B: np.ndarray  # n^2 x 2(k-1)
+    Bp: np.ndarray  # 2(k-1) x n^2
+
+
+@functools.lru_cache(maxsize=None)
+def _real_frame(k: int) -> _Frame:
+    n = 2 * k
+    eye, exchange = np.eye(k), np.eye(k)[::-1]
+    Q = np.block([[eye, 1j * eye], [exchange, -1j * exchange]]) / math.sqrt(2.0)
+    distances = np.repeat(np.arange(2, n, 2), 2)
+    units = np.zeros((distances.size, n), dtype=complex)
+    units[np.arange(distances.size), distances] = np.tile([1.0, 1j], k - 1)
+    B = (Q.conj().T @ _from_first_row(units) @ Q).real.reshape(-1, n * n).T
+    parts = _Frame(Q, B, (B / (2.0 * (n - distances))).T)
+    for a in parts:
+        a.setflags(write=False)
+    return parts
 
 
 def toeplitz_membership(k: int, point, tol: float = 1e-8,
@@ -158,51 +156,53 @@ def toeplitz_membership(k: int, point, tol: float = 1e-8,
     point = np.asarray(point, dtype=float)
     if point.shape != (2 * k,):
         raise ValueError(f"point must have shape ({2 * k},), got {point.shape}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"every coordinate of point must be finite, got {point}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not isinstance(max_iterations, int) or isinstance(max_iterations, bool):
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-
-    fixed_row = _first_row(point, np.zeros(k - 1, dtype=complex))
 
     theta_hat = math.atan2(point[k], point[0])
     starts = [
         np.zeros(k - 1, dtype=complex),
         np.exp(1j * 2.0 * theta_hat * np.arange(1, k)),
     ]
-    best_start, best_eig = None, -np.inf
+    best_even, best_eig = None, -np.inf
     for even in starts:
         M = toeplitz_assemble(point, even)
         smallest = min_eigenvalue(M)
         if smallest >= -tol:
             return MembershipVerdict("member", M, smallest, 0, "psd")
         if smallest > best_eig:
-            best_start, best_eig = M, smallest
+            best_even, best_eig = even, smallest
 
-    M = best_start
-    best_seen = -np.inf
-    stall = 0
+    # p holds the free entries as (re, im) pairs: p.view(complex) reads them.
+    n, frame, p = 2 * k, _real_frame(k), best_even.view(float)
+    s0 = (frame.Q.conj().T @ toeplitz_assemble(point, starts[0]) @ frame.Q).real.ravel()
+    best_seen, stall = -np.inf, 0
+    # Running out of iterations with no stall means the smallest eigenvalue
+    # still rises: too slow to certify, but no evidence of infeasibility.
+    status, stop = "inconclusive", "budget"
     for iteration in range(1, max_iterations + 1):
-        eigvals, eigvecs = np.linalg.eigh(M)
+        eigvals, eigvecs = np.linalg.eigh((s0 + frame.B @ p).reshape(n, n))
         if eigvals[0] >= -tol:
-            return MembershipVerdict("member", M, float(eigvals[0]), iteration,
-                                     "psd")
-        if eigvals[0] > best_seen + 1e-13:
+            M = toeplitz_assemble(point, p.view(complex))
+            smallest = min_eigenvalue(M)
+            if smallest >= -tol:
+                return MembershipVerdict("member", M, smallest, iteration, "psd")
+        if eigvals[0] > best_seen + STALL_GAIN:
             best_seen = float(eigvals[0])
             stall = 0
         else:
             stall += 1
-            if stall >= 60:
-                if best_seen < -10.0 * tol:
-                    status, stop = "not_member_likely", "stall_far"
-                else:
-                    status, stop = "inconclusive", "stall_near"
-                return MembershipVerdict(status, M, min_eigenvalue(M), iteration,
-                                         stop)
-        psd = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
-        M = _affine_project(psd, fixed_row)
-    # Ran out of iterations while the smallest eigenvalue was still rising:
-    # too slow to certify, but no evidence of infeasibility either.
-    return MembershipVerdict("inconclusive", M, min_eigenvalue(M), iteration,
-                             "budget")
-
+            if stall >= STALL_PATIENCE:
+                far = best_seen < -10.0 * tol
+                status = "not_member_likely" if far else "inconclusive"
+                stop = "stall_far" if far else "stall_near"
+                break
+        p = frame.Bp @ ((eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T).ravel()
+    M = toeplitz_assemble(point, p.view(complex))
+    return MembershipVerdict(status, M, min_eigenvalue(M), iteration, stop)

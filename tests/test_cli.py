@@ -75,6 +75,18 @@ class TestExitCodes:
                 assert out == ""
                 assert f"k must be >= 2, got {k}" in err
 
+    def test_non_finite_membership_input_is_usage_error(self, capsys):
+        for extra, message in (
+            (["--point", "3,0,0,0", "--tol", "inf"], "tol must be finite and positive"),
+            (["--point", "0.1,0,0,0", "--tol", "nan"], "tol must be finite and positive"),
+            (["--point", "0.1,nan,0,0"], "coordinate of point must be finite"),
+            (["--point", "inf,0,0,0"], "coordinate of point must be finite"),
+        ):
+            code, out, err = run_cli(capsys, "membership", "--k", "2", *extra)
+            assert code == 2, extra
+            assert out == ""
+            assert message in err
+
     def test_coincident_chord_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "edge", "--k", "2",
                                "--alpha", "1.0", "--beta", "1.0")

@@ -74,6 +74,10 @@ class TestMidpointInteriority:
         with pytest.raises(ValueError):
             midpoint_interiority(2, 1.0, 499)
 
+    def test_nan_delta_rejected(self):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            midpoint_interiority(2, 1.0, 2000, delta=math.nan)
+
 
 class TestEstimateThreshold:
     def test_k2_recovers_closed_form(self):
@@ -98,6 +102,12 @@ class TestEstimateThreshold:
             estimate_threshold(2, resolution=5e-5)
         with pytest.raises(ValueError):
             estimate_threshold(1)
+
+    def test_nan_resolution_rejected(self):
+        # NaN compares false with everything: a `resolution < 1e-4` check let
+        # it through and the seeded bracket came back as the estimate.
+        with pytest.raises(ValueError, match="resolution must be >= 1e-4"):
+            estimate_threshold(2, 1000, math.nan)
 
 
 class TestEdgeVerdict:

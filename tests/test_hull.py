@@ -161,6 +161,10 @@ class TestInteriorityProbe:
         with pytest.raises(ValueError):
             interiority_probe(np.zeros(2), self.SQUARE, delta=0.0)
 
+    def test_nan_delta_rejected(self):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            interiority_probe(np.zeros(2), self.SQUARE, delta=float("nan"))
+
 
 def probe_by_lp(query, points, delta):
     """Reference verdict: one in_hull solve for the query and every probe."""

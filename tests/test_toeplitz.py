@@ -14,7 +14,7 @@ import pytest
 from trigmoment.angles import symmetric_curve, symmetric_curve_samples
 from trigmoment.hull import in_hull
 from trigmoment.toeplitz import (
-    _affine_project,
+    _real_frame,
     min_eigenvalue,
     toeplitz_assemble,
     toeplitz_membership,
@@ -63,24 +63,124 @@ def affine_project_by_diagonals(S: np.ndarray, fixed_row: np.ndarray) -> np.ndar
             upper = np.mean(np.diagonal(S, offset=d))
             lower = np.mean(np.diagonal(S, offset=-d))
             row[d] = 0.5 * (upper + np.conj(lower))
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = row[j - i] if j >= i else np.conj(row[i - j])
-    return out
+    return hermitian_toeplitz(row)
+
+
+def hermitian_toeplitz(row: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is row[j - i] on and above the diagonal, its conjugate below."""
+    n = row.shape[0]
+    return np.array([[row[j - i] if j >= i else np.conj(row[i - j])
+                      for j in range(n)] for i in range(n)], dtype=complex)
+
+
+def frame_project(S: np.ndarray, fixed_row: np.ndarray) -> np.ndarray:
+    """Projection through the real frame: the free entries are Bp applied to
+    Re(Q* S Q), the fixed ones come from ``fixed_row``."""
+    frame = _real_frame(S.shape[0] // 2)
+    p = frame.Bp @ (frame.Q.conj().T @ S @ frame.Q).real.ravel()
+    point = np.concatenate([fixed_row[1::2].real, fixed_row[1::2].imag])
+    return toeplitz_assemble(point, p[0::2] + 1j * p[1::2])
+
+
+def reference_membership(k: int, point, tol: float = 1e-8,
+                         max_iterations: int = 2000):
+    """The complex alternating projections, one diagonal at a time:
+    (status, stop, iterations, matrix)."""
+    point = np.asarray(point, dtype=float)
+    fixed_row = np.zeros(2 * k, dtype=complex)
+    fixed_row[0] = 1.0
+    fixed_row[1::2] = point[:k] + 1j * point[k:]
+    theta_hat = math.atan2(point[k], point[0])
+    best, best_eig = None, -np.inf
+    for even in (np.zeros(k - 1), np.exp(1j * 2.0 * theta_hat * np.arange(1, k))):
+        M = toeplitz_assemble(point, even)
+        smallest = np.linalg.eigvalsh(M)[0]
+        if smallest >= -tol:
+            return "member", "psd", 0, M
+        if smallest > best_eig:
+            best, best_eig = M, smallest
+    M, best_seen, stall = best, -np.inf, 0
+    for iteration in range(1, max_iterations + 1):
+        eigvals, eigvecs = np.linalg.eigh(M)
+        if eigvals[0] >= -tol:
+            return "member", "psd", iteration, M
+        if eigvals[0] > best_seen + 1e-13:
+            best_seen, stall = eigvals[0], 0
+        else:
+            stall += 1
+            if stall >= 60:
+                if best_seen < -10.0 * tol:
+                    return "not_member_likely", "stall_far", iteration, M
+                return "inconclusive", "stall_near", iteration, M
+        psd = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
+        M = affine_project_by_diagonals(psd, fixed_row)
+    return "inconclusive", "budget", iteration, M
+
+
+def membership_battery():
+    """Seeded (k, point) pairs for k = 1..6: interior mixtures, points
+    outside the ball of radius sqrt(k), curve points and curve points
+    scaled by 1.00001."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for k in range(1, 7):
+        for _ in range(3):
+            thetas = rng.uniform(0.0, 2.0 * math.pi, 2 * k + 1)
+            weights = rng.dirichlet(np.ones(thetas.size))
+            mixture = sum(w * symmetric_curve(k, t).coords for w, t in zip(weights, thetas))
+            cases.append((k, rng.uniform(0.3, 0.95) * mixture))
+            direction = rng.normal(size=2 * k)
+            direction *= math.sqrt(k) * rng.uniform(1.05, 1.5) / np.linalg.norm(direction)
+            cases.append((k, direction))
+            curve = symmetric_curve(k, rng.uniform(0.0, 2.0 * math.pi)).coords
+            cases.append((k, curve))
+            cases.append((k, 1.00001 * curve))
+    return cases
+
+
+class TestRealFrame:
+    def test_frame_is_real_symmetric_with_the_same_spectrum(self):
+        rng = np.random.default_rng(11)
+        for k in range(1, 9):
+            n = 2 * k
+            Q = _real_frame(k).Q
+            assert np.max(np.abs(Q.conj().T @ Q - np.eye(n))) <= 1e-15
+            for _ in range(5):
+                row = rng.normal(size=n) + 1j * rng.normal(size=n)
+                row[0] = row[0].real
+                T = hermitian_toeplitz(row)
+                S = Q.conj().T @ T @ Q
+                norm = np.linalg.norm(T)
+                assert np.max(np.abs(S.imag)) <= 1e-14 * norm
+                assert np.max(np.abs(S.real - S.real.T)) <= 1e-14 * norm
+                assert np.max(np.abs(np.linalg.eigvalsh(S.real)
+                                     - np.linalg.eigvalsh(T))) <= 1e-12
+
+    def test_basis_is_a_left_inverse_that_ignores_fixed_diagonals(self):
+        for k in range(1, 9):
+            frame = _real_frame(k)
+            assert frame.B.shape == (4 * k * k, 2 * (k - 1))
+            assert np.max(np.abs(frame.Bp @ frame.B - np.eye(2 * (k - 1))), initial=0.0) <= 1e-15
+            fixed = np.zeros(2 * k, dtype=complex)
+            fixed[0] = 1.0
+            fixed[1::2] = 1.0 + 1j
+            S = (frame.Q.conj().T @ hermitian_toeplitz(fixed) @ frame.Q).real
+            assert np.max(np.abs(frame.Bp @ S.ravel()), initial=0.0) <= 1e-14
 
 
 class TestAffineProjection:
     def test_matches_per_diagonal_reference(self):
+        # The frame exists for even orders and Hermitian matrices only,
+        # which is all the search ever projects.
         rng = np.random.default_rng(5)
-        for n in range(2, 13):
+        for n in range(2, 13, 2):
             fixed_row = rng.normal(size=n) + 1j * rng.normal(size=n)
             fixed_row[0] = 1.0
             fixed = (np.arange(n) == 0) | (np.arange(n) % 2 == 1)
-            for hermitian in (True, False):
+            for _ in range(3):
                 R = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                S = 0.5 * (R + R.conj().T) if hermitian else R
-                got = _affine_project(S, fixed_row)
+                S = 0.5 * (R + R.conj().T)
+                got = frame_project(S, fixed_row)
                 want = affine_project_by_diagonals(S, fixed_row)
                 assert np.max(np.abs(got - want)) <= 1e-12
                 # Fixed entries are copied, not recomputed.
@@ -254,6 +354,23 @@ class TestMembership:
         with pytest.raises(ValueError):
             toeplitz_membership(2, np.zeros(3))
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # tol = inf used to accept (3, 0, 0, 0), whose smallest eigenvalue
+        # is -3.85, as a member.
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            toeplitz_membership(2, np.array([3.0, 0.0, 0.0, 0.0]), tol=tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_point_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="coordinate of point must be finite"):
+            toeplitz_membership(2, np.array([0.1, bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("budget", [True, 10.0, "10", None])
+    def test_iteration_budget_must_be_an_integer(self, budget):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            toeplitz_membership(2, np.array([0.1, 0.0, 0.0, 0.0]), max_iterations=budget)
+
     def test_deterministic_reruns(self):
         point = 0.8 * symmetric_curve(3, 2.0).coords
         v1 = toeplitz_membership(3, point)
@@ -261,3 +378,28 @@ class TestMembership:
         assert v1.status == v2.status
         assert v1.iterations == v2.iterations
         assert np.array_equal(v1.matrix, v2.matrix)
+
+
+class TestAgainstComplexReference:
+    def test_status_and_stop_match_the_complex_search(self):
+        for k, point in membership_battery():
+            verdict = toeplitz_membership(k, point)
+            status, stop, _, _ = reference_membership(k, point)
+            assert (verdict.status, verdict.stop) == (status, stop), (k, point)
+
+    def test_members_are_certified_on_the_returned_matrix(self):
+        tol = 1e-8
+        members = 0
+        for k, point in membership_battery():
+            verdict = toeplitz_membership(k, point, tol=tol)
+            if verdict.status != "member":
+                continue
+            members += 1
+            M = verdict.matrix
+            assert verdict.smallest_eigenvalue == min_eigenvalue(M) >= -tol
+            assert np.all(np.diagonal(M) == 1.0)
+            for l in range(1, k + 1):
+                want = point[l - 1] + 1j * point[k + l - 1]
+                assert np.all(np.diagonal(M, offset=2 * l - 1) == want)
+                assert np.all(np.diagonal(M, offset=1 - 2 * l) == np.conj(want))
+        assert members >= 36
