@@ -80,13 +80,18 @@ class Angle:
         # Equal angles have equal values, rational pairs included.
         return hash(self.value)
 
+    def __str__(self) -> str:
+        """Exact text for rational angles (``0``, ``pi``, ``pi/q``, ``p*pi``,
+        ``p*pi/q``), ``repr(value)`` otherwise."""
+        if not self.is_rational:
+            return repr(self.value)
+        if self.p == 0:
+            return "0"
+        num = "pi" if self.p == 1 else f"{self.p}*pi"
+        return num if self.q == 1 else f"{num}/{self.q}"
+
     def __repr__(self) -> str:
-        if self.is_rational:
-            if self.p == 0:
-                return "Angle(0)"
-            num = "pi" if self.p == 1 else f"{self.p}*pi"
-            return f"Angle({num}/{self.q})" if self.q != 1 else f"Angle({num})"
-        return f"Angle({self.value!r})"
+        return f"Angle({self})"
 
 
 def rational_angle(p: int, q: int) -> Angle:

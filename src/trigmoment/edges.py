@@ -199,9 +199,9 @@ def estimate_threshold(k: int, num_samples: int = 4000,
 def edge_verdict(k: int, alpha, beta, num_samples: int = 2000) -> EdgeVerdict:
     """Classify the chord [SM(alpha), SM(beta)] with cross-checked evidence.
 
-    Outside a 0.02-radian guard band around the critical arc length, the
-    predicted side must be confirmed: a supporting functional for edges, a
-    midpoint interiority witness for non-edges.  Unconfirmed predictions
+    Outside a guard band of GUARD_BAND radians around the critical arc
+    length, the predicted side must be confirmed: a supporting functional
+    for edges, a midpoint interiority witness for non-edges.  Unconfirmed predictions
     raise EvidenceContradictionError.  Inside the band the verdict is
     "near_threshold" with no evidence either way.
     """

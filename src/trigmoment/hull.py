@@ -216,7 +216,7 @@ def exposed_edge_certificate(k: int, alpha, beta, num_samples: int = 2000):
     h . SM(alpha) = h . SM(beta) = h0 and the box |h_j| <= 1; samples within
     ten grid spacings of either endpoint are excluded so near-tangent
     samples cannot poison the margin.  Returns an EdgeCertificate when the
-    recomputed margin of the recovered functional exceeds 1e-7, else None.
+    recomputed margin of the recovered functional exceeds MARGIN_TOL, else None.
     """
     if num_samples < 100:
         raise ValueError(f"num_samples must be >= 100, got {num_samples}")

@@ -56,8 +56,9 @@ class LinearProgram:
 class LPCertificate:
     """Outcome of a solve.
 
-    For "optimal": ``primal`` is feasible within 1e-9 and achieves
-    ``objective_value``; ``dual`` holds one multiplier per original row and
+    For "optimal": ``primal`` satisfies every row within the relative bound
+    FEAS_TOL * max(1, max|b|, max|x|) and achieves ``objective_value``;
+    ``dual`` holds one multiplier per original row and
     the verified duality gap is stored in ``dual_gap``.  For "infeasible":
     ``dual`` holds a Farkas combination y of the original rows (y @ A <= 0
     on the nonnegative variables, y @ A = 0 on the free ones, y @ rhs > 0).

@@ -81,6 +81,16 @@ class TestAngleConstruction:
         assert len({rational_angle(1, 2), real_angle(math.pi / 2)}) == 1
         assert len({real_angle(1.0), real_angle(1.0 + 1e-13)}) == 2
 
+    def test_str_and_repr(self):
+        for (p, q), text in (((0, 1), "0"), ((1, 1), "pi"), ((1, 3), "pi/3"),
+                             ((3, 2), "3*pi/2"), ((-1, 1), "pi")):
+            a = rational_angle(p, q)
+            assert str(a) == text
+            assert repr(a) == f"Angle({text})"
+        a = real_angle(1.25)
+        assert str(a) == "1.25"
+        assert repr(a) == "Angle(1.25)"
+
     def test_as_angle_coercion(self):
         a = as_angle(math.pi / 2)
         assert isinstance(a, Angle)

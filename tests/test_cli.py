@@ -87,6 +87,19 @@ class TestExitCodes:
             assert out == ""
             assert message in err
 
+    def test_bad_tolerance_is_usage_error(self, capsys):
+        # A NaN or infinite tolerance would make the check vacuous.
+        for argv in (
+            ["identities"], ["facets"], ["roots"], ["witness"],
+            ["threshold", "--samples", "1000", "--resolution", "0.01"],
+            ["membership", "--point", "0.1,0,0,0"],
+        ):
+            for tol in ("nan", "inf", "-1"):
+                code, out, err = run_cli(capsys, *argv, "--k", "2", "--tol", tol)
+                assert code == 2, (argv, tol)
+                assert out == ""
+                assert err.startswith("error: tol must be finite and positive")
+
     def test_coincident_chord_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "edge", "--k", "2",
                                "--alpha", "1.0", "--beta", "1.0")
@@ -193,6 +206,25 @@ class TestReports:
         assert code == 0
         assert report["membership"] == "member"
         assert float(report["smallest_eigenvalue"]) == 1.0
+
+    def test_defaults(self, capsys, tmp_path):
+        out_file = str(tmp_path / "curve.csv")
+        for argv, expected in (
+            (["identities"], {"tolerance": 1e-12}),
+            (["facets"], {"tolerance": 1e-10}),
+            (["roots"], {"tolerance": 1e-10}),
+            (["witness"], {"tolerance": 1e-12}),
+            (["tangent-cone"], {"epsilon": 1e-3}),
+            (["threshold"], {"samples": 4000, "resolution": 1e-3, "tolerance": 5e-3}),
+            (["edge", "--alpha", "0", "--beta", "2.2"], {"samples": 2000}),
+            (["membership", "--theta", "1"], {"tolerance": 1e-8, "max_iterations": 2000}),
+            (["plot-data", "curve", "--out", out_file], {"rows_written": 2000}),
+        ):
+            code, out, _ = run_cli(capsys, *argv, "--k", "2")
+            report = report_dict(out)
+            assert code == 0, argv
+            for key, value in expected.items():
+                assert float(report[key]) == value, (argv, key)
 
     def test_identical_invocations_identical_reports(self, capsys):
         _, first, _ = run_cli(capsys, "facets", "--k", "3")
