@@ -31,10 +31,10 @@ def main():
     print("the symmetric curve and its cosine projection")
     print("---------------------------------------------")
     k, theta = 3, 0.8
-    sm_plus = symmetric_curve(k, theta).coords
-    sm_minus = symmetric_curve(k, -theta).coords
+    sm_plus = symmetric_curve(k, theta)
+    sm_minus = symmetric_curve(k, -theta)
     midpoint = 0.5 * (sm_plus + sm_minus)
-    cosine = cosine_curve(k, theta).coords
+    cosine = cosine_curve(k, theta)
     print(f"SM_6(+0.8)  = {np.round(sm_plus, 6)}")
     print(f"SM_6(-0.8)  = {np.round(sm_minus, 6)}")
     print(f"midpoint    = {np.round(midpoint, 6)}")

@@ -1,8 +1,10 @@
-"""Recovering the critical arc length empirically, without the formula.
+"""Recovering the critical arc length empirically.
 
-The estimator only watches where the chord midpoint (C_k(t), 0) crosses
-from the boundary of the hull into its interior, bisecting on t.  The
-closed form 2*pi*(k-1)/(2k-1) is used purely as the yardstick afterwards.
+The estimator watches where the chord midpoint (C_k(t), 0) crosses from
+the boundary of the sampled hull into its interior, bisecting on t.  The
+closed form 2*pi*(k-1)/(2k-1) seeds the first bracket (arcs psi_k +- 0.3)
+and is the yardstick afterwards; the verdicts inside the bracket come from
+LP probes alone.
 """
 
 import time
@@ -24,10 +26,12 @@ def main():
         print(f"{k:>3} {est.psi_hat:>12.6f} {closed:>12.6f} "
               f"{est.psi_hat - closed:>+10.2e} {hi - lo:>14.2e} {elapsed:>8.2f}")
     print()
-    print("the estimate lands within 5e-3 of the closed form; the small")
-    print("positive bias is the interiority probe's displacement delta —")
-    print("midpoints just inside the hull still look boundary-like until")
-    print("their clearance exceeds delta.")
+    print("the estimate lands within 5e-3 of the closed form.  The small")
+    print("positive bias has two causes: midpoints just inside the hull look")
+    print("boundary-like until their clearance exceeds the probe displacement")
+    print("delta (at k = 2 the bias is the same at 4000 and 16000 samples and")
+    print("ten times smaller at delta = 1e-7), and the sampled hull lies inside")
+    print("the body (at k = 4 more samples narrow it too).")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ def main():
     k = 2
     print("curve points certify instantly with a rank-one completion")
     print("----------------------------------------------------------")
-    point = symmetric_curve(k, 1.0).coords
+    point = symmetric_curve(k, 1.0)
     verdict = toeplitz_membership(k, point)
     spectrum = np.linalg.eigvalsh(verdict.matrix)
     print(f"  SM_4(1.0): {verdict.status} after {verdict.iterations} iterations")
@@ -40,7 +40,7 @@ def main():
 
     print("slow convergence is reported, not guessed")
     print("-----------------------------------------")
-    deep = sum(symmetric_curve(3, t).coords for t in (0.5, 2.5, 4.5)) / 3.0
+    deep = sum(symmetric_curve(3, t) for t in (0.5, 2.5, 4.5)) / 3.0
     strict = toeplitz_membership(3, deep)
     relaxed = toeplitz_membership(3, deep, tol=1e-5)
     print(f"  three-point mix at k=3, tol=1e-8: {strict.status} "

@@ -13,7 +13,6 @@ that dichotomy.
 
 from trigmoment.angles import (
     Angle,
-    CurvePoint,
     as_angle,
     chebyshev_T,
     cos_at,
@@ -30,7 +29,6 @@ from trigmoment.facets import (
     SimplexSpec,
     facet_curve_poly,
     facet_curve_roots,
-    facet_curve_sign,
     facet_functional,
     facet_nodes,
     inner_simplex,

@@ -21,7 +21,7 @@ kind as an independent cross-check path (cos(d*theta) = T_d(cos(theta))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -30,7 +30,6 @@ TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "Angle",
-    "CurvePoint",
     "rational_angle",
     "real_angle",
     "as_angle",
@@ -108,7 +107,7 @@ def real_angle(x: float) -> Angle:
     """Free-valued angle, canonicalized into [0, 2*pi)."""
     if not math.isfinite(x):
         raise ValueError(f"angle must be finite, got {x}")
-    v = math.fmod(x, TWO_PI)
+    v = math.fmod(x, TWO_PI) + 0.0  # adding +0.0 turns -0.0 into 0.0
     if v < 0.0:
         v += TWO_PI
     return Angle(None, None, v)
@@ -190,30 +189,12 @@ def chebyshev_T(d: int, x):
     return t_cur if isinstance(x, np.ndarray) else float(t_cur)
 
 
-@dataclass(frozen=True, eq=False)
-class CurvePoint:
-    """A point of C_k ("cosine") or SM_{2k} ("symmetric") with its angle."""
-
-    coords: np.ndarray
-    source_angle: Angle
-    curve: str  # "cosine" | "symmetric"
-    k: int = field(default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-
-def cosine_curve(k: int, theta: "Angle | float") -> CurvePoint:
+def cosine_curve(k: int, theta: "Angle | float") -> np.ndarray:
     """C_k(theta) = (cos(theta), cos(3*theta), ..., cos((2k-1)*theta))."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     a = as_angle(theta)
-    coords = np.array([cos_at(2 * l - 1, a) for l in range(1, k + 1)])
-    return CurvePoint(coords, a, "cosine", k)
+    return np.array([cos_at(2 * l - 1, a) for l in range(1, k + 1)])
 
 
 def cosine_curve_deriv(k: int, theta: "Angle | float") -> np.ndarray:
@@ -226,7 +207,7 @@ def cosine_curve_deriv(k: int, theta: "Angle | float") -> np.ndarray:
     )
 
 
-def symmetric_curve(k: int, theta: "Angle | float") -> CurvePoint:
+def symmetric_curve(k: int, theta: "Angle | float") -> np.ndarray:
     """SM_{2k}(theta): k cosine coordinates followed by k sine coordinates.
 
     Satisfies the midpoint identity
@@ -237,7 +218,7 @@ def symmetric_curve(k: int, theta: "Angle | float") -> CurvePoint:
     a = as_angle(theta)
     cos_part = [cos_at(2 * l - 1, a) for l in range(1, k + 1)]
     sin_part = [sin_at(2 * l - 1, a) for l in range(1, k + 1)]
-    return CurvePoint(np.array(cos_part + sin_part), a, "symmetric", k)
+    return np.array(cos_part + sin_part)
 
 
 def cosine_curve_samples(k: int, thetas: np.ndarray) -> np.ndarray:

@@ -224,7 +224,7 @@ def cmd_membership(k: int, point, theta, iters: int, tol: float) -> tuple[list, 
         raise ValueError(f"k must be >= 2, got {k}")
     lines = [("k", str(k))]
     if theta is not None:
-        point = symmetric_curve(k, theta).coords
+        point = symmetric_curve(k, theta)
         ang = theta.value if isinstance(theta, Angle) else float(theta)
         lines.append(("theta", _g(ang)))
     lines.append(("point", ", ".join(_g(x) for x in point)))

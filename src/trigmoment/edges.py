@@ -31,7 +31,7 @@ from trigmoment.angles import (
     cosine_curve_samples,
     rational_angle,
 )
-from trigmoment.facets import facet_curve_poly, outer_simplex
+from trigmoment.facets import facet_curve_poly, facet_curve_roots, outer_simplex
 from trigmoment.hull import (
     MARGIN_TOL,
     EdgeCertificate,
@@ -101,12 +101,17 @@ class EdgeVerdict:
 class ThresholdEstimate:
     """Bisection output: ``bracket`` encloses the arc length at which chord
     midpoints turn from boundary to interior points of the *sampled* cosine
-    hull, and ``psi_hat`` is the bracket midpoint.
+    hull under probes of displacement delta, and ``psi_hat`` is the bracket
+    midpoint.
 
-    The sampled hull lies inside the body, which moves that transition up,
-    so the bracket need not contain the critical arc itself: for k = 2..5 at
-    4000/4000/5000/6000 samples it lies wholly at or above psi_k (k = 2:
-    (2.09732, 2.09791) against 2.09440)."""
+    Two causes move that transition up, so the bracket need not contain
+    the critical arc itself: a midpoint reads "interior" only once every
+    probe delta away stays in the hull, and the sampled hull lies inside
+    the body.  For k = 2..5 at 4000/4000/5000/6000 samples the bracket lies
+    wholly at or above psi_k (k = 2: (2.09732, 2.09791) against 2.09440).
+    At k = 2 the probe sets the bias: at resolution 1e-4 the low end sits
+    +2.93e-3 above psi_2 at both 4000 and 16 000 samples, and +2.93e-4 at
+    delta = 1e-7.  At k = 4 more samples narrow it too."""
 
     k: int
     psi_hat: float
@@ -138,7 +143,7 @@ def midpoint_interiority(k: int, theta, num_samples: int = 2000,
     thetas = np.unique(np.concatenate([np.linspace(0.0, math.pi, num_samples),
                                        [folded]]))
     samples = cosine_curve_samples(k, thetas)
-    query = cosine_curve(k, ang).coords
+    query = cosine_curve(k, ang)
     return interiority_probe(query, samples, delta)
 
 
@@ -149,10 +154,10 @@ def estimate_threshold(k: int, num_samples: int = 4000,
 
     Half-arcs theta with midpoint on the boundary are below the threshold,
     interior midpoints above; the transition on (0, pi/2] is bisected until
-    the arc bracket is narrower than ``resolution``.  A bracket seeded around
-    the expected transition is tried first and a full scan of (0, pi/2] is
-    used if its endpoints do not straddle; a non-monotone verdict pattern
-    raises EvidenceContradictionError.
+    the arc bracket is narrower than ``resolution``.  The closed form seeds
+    the first bracket, arcs edge_threshold(k) +- 0.3; a 60-point scan of
+    (0, pi/2] is used if its endpoints do not straddle, and a non-monotone
+    verdict pattern there raises EvidenceContradictionError.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -280,13 +285,22 @@ def facet_contact_check(k: int, epsilon: float = 1e-3) -> FacetContactReport:
     segment, the cone is one-dimensional, and the clause is trivial-pass);
     (c) stepping epsilon toward the window makes every facet function
     positive, stepping away leaves only the contact node's own function
-    positive.
+    positive.  Clause (c) needs epsilon below the gap from t0 to the
+    nearest other root of any f_j, which shrinks with k (9.3e-4 at k = 30);
+    a larger epsilon raises ValueError naming the gap.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if not 0.0 < epsilon < 0.1:
         raise ValueError(f"epsilon must be in (0, 0.1), got {epsilon}")
     t0, j_star, orientation = _contact_data(k)
+    gap = min(abs(r.value - t0.value)
+              for j in range(k) for r in facet_curve_roots(k, j) if r != t0)
+    if epsilon >= gap:
+        raise ValueError(
+            f"epsilon must be below {gap:.6g}, the gap from the contact angle "
+            f"to the nearest other facet-function root at k={k}, got {epsilon}"
+        )
 
     residual = abs(cos_at(2 * k - 1, t0) - 1.0)
     hyperplane_ok = residual < 1e-12
@@ -294,7 +308,7 @@ def facet_contact_check(k: int, epsilon: float = 1e-3) -> FacetContactReport:
     if k == 2:
         tangent_status, tangent_step = "trivial-pass", None
     else:
-        vertex = cosine_curve(k - 1, t0).coords
+        vertex = cosine_curve(k - 1, t0)
         direction = orientation * cosine_curve_deriv(k - 1, t0)
         inside, cert = tangent_cone_interior(vertex, direction,
                                              outer_simplex(k).vertices)

@@ -42,12 +42,10 @@ from trigmoment.angles import (
 # Toeplitz layers keep their own tolerances).
 ZERO_TOL = 1e-10   # structural zeros (vanishing pattern, root residuals)
 RECON_TOL = 1e-12  # convex-combination reconstructions
-DERIV_TOL = 1e-8   # derivative nonvanishing (multiplicity-one roots)
 
 __all__ = [
     "ZERO_TOL",
     "RECON_TOL",
-    "DERIV_TOL",
     "AffineFunctional",
     "ConvexCombination",
     "SimplexSpec",
@@ -57,7 +55,6 @@ __all__ = [
     "facet_curve_poly",
     "facet_curve_poly_grid",
     "facet_curve_roots",
-    "facet_curve_sign",
     "verify_facet_description",
     "origin_witness",
     "outer_simplex",
@@ -106,18 +103,11 @@ class ConvexCombination:
 
 @dataclass(frozen=True, eq=False)
 class SimplexSpec:
-    """A simplex with k curve-point vertices in R^{k-1}.
-
-    ``which`` is "outer" (distinguished vertex at angle 0) or "inner"
-    (distinguished vertex at angle pi/2); only the inner simplex carries its
-    facet description.
-    """
+    """A simplex with k curve-point vertices in R^{k-1}, at ``vertex_angles``."""
 
     k: int
-    which: str
     vertices: np.ndarray  # (k, k-1)
     vertex_angles: tuple
-    facets: tuple | None = None
 
 
 def facet_nodes(k: int) -> list[Angle]:
@@ -145,7 +135,7 @@ def facet_functional(k: int, j: int) -> AffineFunctional:
 def facet_curve_poly(k: int, j: int, theta: "Angle | float") -> float:
     """f_j(theta) = h_j(C_{k-1}(theta)), the facet functional along the curve."""
     fn = facet_functional(k, j)
-    return fn(cosine_curve(k - 1, theta).coords)
+    return fn(cosine_curve(k - 1, theta))
 
 
 def facet_curve_poly_grid(k: int, j: int, thetas: np.ndarray) -> np.ndarray:
@@ -179,14 +169,6 @@ def facet_curve_roots(k: int, j: int) -> list[Angle]:
     roots.sort(key=lambda a: a.value)
     assert len(roots) == 2 * k - 3
     return roots
-
-
-def facet_curve_sign(k: int, j: int, theta: "Angle | float") -> int:
-    """Sign of f_j(theta) with a dead zone: |f| < 1e-12 maps to 0."""
-    v = facet_curve_poly(k, j, theta)
-    if abs(v) < 1e-12:
-        return 0
-    return 1 if v > 0.0 else -1
 
 
 @dataclass(frozen=True)
@@ -247,16 +229,16 @@ def outer_simplex(k: int) -> SimplexSpec:
     angles = [rational_angle(0, 1)] + [
         rational_angle(2 * j, 2 * k - 1) for j in range(1, k)
     ]
-    vertices = np.array([cosine_curve(k - 1, a).coords for a in angles])
-    return SimplexSpec(k, "outer", vertices, tuple(angles))
+    vertices = np.array([cosine_curve(k - 1, a) for a in angles])
+    return SimplexSpec(k, vertices, tuple(angles))
 
 
 def inner_simplex(k: int) -> SimplexSpec:
-    """Simplex spanned by C_{k-1} at all k nodes, with facet functionals."""
+    """Simplex spanned by C_{k-1} at all k nodes; ``facet_functional(k, j)``
+    gives its facets."""
     angles = facet_nodes(k)
-    vertices = np.array([cosine_curve(k - 1, a).coords for a in angles])
-    facets = tuple(facet_functional(k, j) for j in range(k))
-    return SimplexSpec(k, "inner", vertices, tuple(angles), facets)
+    vertices = np.array([cosine_curve(k - 1, a) for a in angles])
+    return SimplexSpec(k, vertices, tuple(angles))
 
 
 # The three node-angle cosine identities; every sum below equals -1/2.
@@ -358,24 +340,25 @@ def all_trig_identity_residuals(k: int) -> list[tuple[str, object, float]]:
     return out
 
 
-def bisect_roots(fn, lo: float, hi: float, n_grid: int = 10_000, xtol: float = 1e-12) -> list[float]:
+def bisect_roots(fn, lo: float, hi: float) -> list[float]:
     """All simple roots of ``fn`` on [lo, hi] by grid scan plus bisection.
 
-    ``fn`` must accept a numpy array of angles.  Each sign change across a
-    grid cell is refined by bisection to width below ``xtol``; a root that
-    falls exactly on a grid node (value 0.0, killing the sign-product test
-    on both adjacent cells) is taken as-is.  Roots at tangencies (no sign
-    change) are not found, which is the point — this serves as the
-    independent multiplicity-one oracle for the closed-form root lists.
+    ``fn`` must accept a numpy array of angles.  The scan uses 10 001
+    equispaced grid points; each sign change across a grid cell is refined
+    by bisection to width below 1e-12, and a root that falls exactly on a
+    grid node (value 0.0, killing the sign-product test on both adjacent
+    cells) is taken as-is.  Roots at tangencies (no sign change) are not
+    found, which is the point — this serves as the independent
+    multiplicity-one oracle for the closed-form root lists.
     """
-    grid = np.linspace(lo, hi, n_grid + 1)
+    grid = np.linspace(lo, hi, 10_001)
     vals = np.asarray(fn(grid), dtype=float)
     exact = grid[vals == 0.0]
     sign_change = vals[:-1] * vals[1:] < 0.0
     a = grid[:-1][sign_change].copy()
     b = grid[1:][sign_change].copy()
     fa = vals[:-1][sign_change].copy()
-    while np.any(b - a > xtol):
+    while np.any(b - a > 1e-12):
         mid = 0.5 * (a + b)
         fm = np.asarray(fn(mid), dtype=float)
         go_left = fa * fm < 0.0

@@ -5,11 +5,11 @@ Membership of a query point in the hull of finitely many points is a
 feasibility LP over barycentric weights; its Farkas certificate on failure is
 a separating affine functional.  Interiority is decided by probing the 2n
 axis directions around a member.  The tangent-cone test maximizes the step
-length along a direction that stays inside a facet, then confirms relative
-interiority at half that step.  The exposed-edge certificate searches for a
-supporting functional pinned to two curve points and maximizing the worst
-slack over curve samples; the search LP is solved through its explicit dual,
-whose row multipliers are the functional itself.
+length along a direction that stays inside a full-dimensional facet, then
+confirms interiority at half that step.  The exposed-edge certificate
+searches for a supporting functional pinned to two curve points and
+maximizing the worst slack over curve samples; the search LP is solved
+through its explicit dual, whose row multipliers are the functional itself.
 """
 
 from __future__ import annotations
@@ -153,15 +153,16 @@ def interiority_probe(query, points, delta: float) -> HullVerdict:
 
 
 def tangent_cone_interior(vertex, direction, facet_vertices):
-    """Does ``direction`` point into the relative interior of the facet at
-    ``vertex``?
+    """Does ``direction`` point into the interior of the facet at ``vertex``?
 
     Maximizes epsilon with vertex + epsilon * direction inside the hull of
     ``facet_vertices`` (an LP over barycentric weights), requires the
-    optimum strictly positive, then re-probes at half the optimal step
-    inside the facet's own affine hull.  Returns (bool, LPCertificate); the
-    certificate's objective value is the optimal step for the normalized
-    direction, so the verdict is invariant under positive rescaling.
+    optimum strictly positive, then probes interiority at half the optimal
+    step in the facet's own coordinates.  The facet must span its ambient
+    space; a lower-dimensional one raises DegenerateGeometryError from the
+    probe.  Returns (bool, LPCertificate); the certificate's objective value
+    is the optimal step for the normalized direction, so the verdict is
+    invariant under positive rescaling.
     """
     vertex = np.asarray(vertex, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -191,20 +192,8 @@ def tangent_cone_interior(vertex, direction, facet_vertices):
     eps_star = float(cert.objective_value)
     if eps_star <= 1e-9:
         return False, cert
-
-    # Re-probe at half step, restricted to the facet's affine hull.
-    centroid = facet_vertices.mean(axis=0)
-    spread = facet_vertices - centroid
-    _, svals, vt = np.linalg.svd(spread, full_matrices=False)
-    rank = int(np.sum(svals > max(1e-12, svals[0] * 1e-10)))
-    basis = vt[:rank]
-    p = vertex + 0.5 * eps_star * unit
-    local_p = basis @ (p - centroid)
-    if float(np.linalg.norm((p - centroid) - basis.T @ local_p)) > 1e-8:
-        return False, cert
-    local_vertices = spread @ basis.T
-    delta = max(1e-9, 1e-3 * eps_star)
-    verdict = interiority_probe(local_p, local_vertices, delta)
+    verdict = interiority_probe(vertex + 0.5 * eps_star * unit, facet_vertices,
+                                max(1e-9, 1e-3 * eps_star))
     return verdict.verdict == "interior", cert
 
 
@@ -232,8 +221,8 @@ def exposed_edge_certificate(k: int, alpha, beta, num_samples: int = 2000):
         & (arc_distance(ts, b.value) > radius)
     ]
     P = symmetric_curve_samples(k, kept)  # (M, 2k)
-    sa = symmetric_curve(k, a).coords
-    sb = symmetric_curve(k, b).coords
+    sa = symmetric_curve(k, a)
+    sb = symmetric_curve(k, b)
     M = P.shape[0]
     dim = 2 * k
 

@@ -137,7 +137,7 @@ def _run_phase(tab: np.ndarray, basis: np.ndarray, n_allowed: int, pivots: int):
 def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """min c @ x s.t. A x = b, x >= 0 by the two-phase tableau method.
 
-    Returns (status, x, objective, y) where y are the row multipliers in the
+    Returns (status, x, y) where y are the row multipliers in the
     coordinates of the rows as given; on "infeasible" y is a Farkas
     certificate with y @ A <= FEAS_TOL componentwise and y @ b > 0.
     """
@@ -167,7 +167,7 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     if phase1 > FEAS_TOL * max(1.0, float(np.abs(b_w).sum())):
         c1_basic = (basis >= n).astype(float)
         y = c1_basic @ tab[:m, n:n + m]
-        return "infeasible", None, None, y * signs
+        return "infeasible", None, y * signs
 
     # Drive any leftover artificials out of the basis; drop redundant rows.
     keep = np.ones(m, dtype=bool)
@@ -193,7 +193,7 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     tab[-1, -1] = -c_basic @ tab[:m, -1]
     step, pivots = _run_phase(tab, basis, n, pivots)
     if step == "unbounded":
-        return "unbounded", None, None, None
+        return "unbounded", None, None
 
     # Fresh recomputation from the final basis for accuracy; keep the
     # incrementally updated tableau values instead if the basis matrix is
@@ -216,7 +216,7 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     np.clip(x, 0.0, None, out=x)
     y_full = np.zeros(m_orig)
     y_full[kept_rows] = y * signs
-    return "optimal", x, float(c @ x), y_full
+    return "optimal", x, y_full
 
 
 def lp_solve(lp: LinearProgram) -> LPCertificate:
@@ -249,7 +249,7 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
     A_std = A0[:, var_idx] * col_sign
     c_std = (-c0 if lp.maximize else c0)[var_idx] * col_sign
 
-    status, z, _, y = _simplex_standard(A_std, b0, c_std)
+    status, z, y = _simplex_standard(A_std, b0, c_std)
 
     if status == "infeasible":
         return LPCertificate(status="infeasible", dual=y)

@@ -139,7 +139,7 @@ def test_spectrahedron_membership_consistent_with_lp_hull():
         hull_samples = symmetric_curve_samples(k, thetas)
 
         for theta in test_angles:
-            base = symmetric_curve(k, theta).coords
+            base = symmetric_curve(k, theta)
 
             # Curve points: members with a rank-one certificate.
             on_curve = toeplitz_membership(k, base)
@@ -168,8 +168,8 @@ def test_spectrahedron_membership_consistent_with_lp_hull():
         assert in_hull(origin, hull_samples).verdict == "member"
 
         # A chord-interior combination (arc above the edge threshold).
-        mixed = 0.6 * symmetric_curve(k, 0.9).coords \
-            + 0.4 * symmetric_curve(k, 4.5).coords
+        mixed = 0.6 * symmetric_curve(k, 0.9) \
+            + 0.4 * symmetric_curve(k, 4.5)
         assert toeplitz_membership(k, mixed, tol=1e-7).status == "member"
         assert in_hull(mixed, hull_samples).verdict == "member"
 

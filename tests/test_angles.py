@@ -64,6 +64,12 @@ class TestAngleConstruction:
         assert 0.0 <= a.value < 2.0 * math.pi
         assert abs(a.value - (2.0 * math.pi - 1.0)) < 1e-15
 
+    def test_negative_zero_is_canonical(self):
+        for a in (real_angle(-0.0), -real_angle(0.0), real_angle(0.0)):
+            assert a.value == 0.0
+            assert math.copysign(1.0, a.value) == 1.0
+            assert str(a) == "0.0"
+
     def test_real_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             real_angle(math.inf)
@@ -216,28 +222,24 @@ class TestChebyshev:
 class TestCosineCurve:
     def test_vanishes_at_half_pi(self):
         pt = cosine_curve(2, rational_angle(1, 2))
-        assert np.all(pt.coords == 0.0)
+        assert np.all(pt == 0.0)
 
     def test_all_ones_at_zero(self):
         pt = cosine_curve(3, rational_angle(0, 1))
-        assert np.all(pt.coords == 1.0)
+        assert np.all(pt == 1.0)
 
     def test_pentagon_point(self):
         pt = cosine_curve(2, rational_angle(2, 5))
-        assert abs(pt.coords[0] - COS_72) < 1e-15
+        assert abs(pt[0] - COS_72) < 1e-15
         # cos(6*pi/5) = cos(4*pi/5 + 2*pi/5)... = -cos(pi/5)
-        assert abs(pt.coords[1] - (-COS_36)) < 1e-15
+        assert abs(pt[1] - (-COS_36)) < 1e-15
 
     def test_sup_norm_bounded(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             k = int(rng.integers(1, 12))
             theta = float(rng.uniform(0.0, 2 * math.pi))
-            assert np.max(np.abs(cosine_curve(k, theta).coords)) <= 1.0
-
-    def test_metadata(self):
-        pt = cosine_curve(4, rational_angle(1, 3))
-        assert pt.curve == "cosine" and pt.k == 4 and pt.dim == 4
+            assert np.max(np.abs(cosine_curve(k, theta))) <= 1.0
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -259,8 +261,8 @@ class TestDerivative:
             analytic = cosine_curve_deriv(k, theta)
             for h in (1e-3, 1e-4):
                 fd = (
-                    cosine_curve(k, theta + h).coords
-                    - cosine_curve(k, theta - h).coords
+                    cosine_curve(k, theta + h)
+                    - cosine_curve(k, theta - h)
                 ) / (2.0 * h)
                 bound = 10.0 * h * h * (2 * k - 1) ** 3
                 assert np.max(np.abs(fd - analytic)) < bound
@@ -269,11 +271,11 @@ class TestDerivative:
 class TestSymmetricCurve:
     def test_at_zero(self):
         pt = symmetric_curve(2, rational_angle(0, 1))
-        assert np.array_equal(pt.coords, [1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(pt, [1.0, 1.0, 0.0, 0.0])
 
     def test_at_half_pi(self):
         pt = symmetric_curve(2, rational_angle(1, 2))
-        assert np.array_equal(pt.coords, [0.0, 0.0, 1.0, -1.0])
+        assert np.array_equal(pt, [0.0, 0.0, 1.0, -1.0])
 
     def test_midpoint_identity(self):
         # (1/2)SM(-t) + (1/2)SM(t) = (C_k(t), 0) to 1e-14, k <= 20
@@ -281,14 +283,14 @@ class TestSymmetricCurve:
         for k in range(2, 21):
             theta = float(rng.uniform(0.0, 2 * math.pi))
             a = real_angle(theta)
-            mid = 0.5 * symmetric_curve(k, -a).coords + 0.5 * symmetric_curve(k, a).coords
-            expect = np.concatenate([cosine_curve(k, a).coords, np.zeros(k)])
+            mid = 0.5 * symmetric_curve(k, -a) + 0.5 * symmetric_curve(k, a)
+            expect = np.concatenate([cosine_curve(k, a), np.zeros(k)])
             assert np.max(np.abs(mid - expect)) < 1e-14
 
     def test_midpoint_identity_rational(self):
         for k in (2, 3, 4):
             a = rational_angle(2, 7)
-            mid = 0.5 * symmetric_curve(k, -a).coords + 0.5 * symmetric_curve(k, a).coords
+            mid = 0.5 * symmetric_curve(k, -a) + 0.5 * symmetric_curve(k, a)
             assert np.max(np.abs(mid[k:])) == 0.0  # sines cancel exactly
 
     def test_central_symmetry(self):
@@ -296,7 +298,7 @@ class TestSymmetricCurve:
         for k in (2, 3):
             a = rational_angle(1, 5)
             b = rational_angle(6, 5)
-            assert np.max(np.abs(symmetric_curve(k, a).coords + symmetric_curve(k, b).coords)) < 1e-15
+            assert np.max(np.abs(symmetric_curve(k, a) + symmetric_curve(k, b))) < 1e-15
 
 
 class TestVectorizedSamples:
@@ -304,10 +306,10 @@ class TestVectorizedSamples:
         thetas = np.linspace(0.0, math.pi, 13)
         grid = cosine_curve_samples(3, thetas)
         for i, t in enumerate(thetas):
-            assert np.max(np.abs(grid[i] - cosine_curve(3, float(t)).coords)) < 1e-12
+            assert np.max(np.abs(grid[i] - cosine_curve(3, float(t)))) < 1e-12
 
     def test_symmetric_grid_matches_scalar(self):
         thetas = np.linspace(0.0, 2 * math.pi, 9)
         grid = symmetric_curve_samples(2, thetas)
         for i, t in enumerate(thetas):
-            assert np.max(np.abs(grid[i] - symmetric_curve(2, float(t)).coords)) < 1e-12
+            assert np.max(np.abs(grid[i] - symmetric_curve(2, float(t)))) < 1e-12

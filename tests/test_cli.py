@@ -106,6 +106,12 @@ class TestExitCodes:
         assert code == 2
         assert "distinct" in err
 
+    def test_epsilon_beyond_the_root_gap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "tangent-cone", "--k", "30")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: epsilon must be below 0.000934")
+
     def test_failed_check_is_one(self, capsys):
         # An absurdly tight identity tolerance turns rounding into a failure.
         code, out, _ = run_cli(capsys, "identities", "--k", "3",
@@ -180,6 +186,12 @@ class TestReports:
         assert code == 0
         assert report["verdict"] == "not_edge"
         assert report["midpoint_verdict"] == "interior"
+
+    def test_edge_report_negative_zero_angle(self, capsys):
+        code, out, _ = run_cli(capsys, "edge", "--k", "2",
+                               "--alpha", "-0.0", "--beta", "1.0")
+        assert code == 0
+        assert report_dict(out)["alpha"] == "0"
 
     def test_edge_report_edge_with_exact_angle(self, capsys):
         code, out, _ = run_cli(capsys, "edge", "--k", "2",

@@ -21,7 +21,7 @@ from trigmoment.edges import (
     facet_contact_check,
     midpoint_interiority,
 )
-from trigmoment.facets import facet_curve_poly
+from trigmoment.facets import facet_curve_poly, facet_curve_roots
 
 
 class TestEdgeThreshold:
@@ -230,3 +230,26 @@ class TestFacetContactCheck:
             facet_contact_check(1)
         with pytest.raises(ValueError):
             facet_contact_check(3, epsilon=0.5)
+
+    @staticmethod
+    def root_gap(k):
+        """Distance from the contact angle to the nearest other root of any f_j."""
+        t0 = rational_angle(k - 1 if k % 2 else k, 2 * k - 1)
+        return min(abs(r.value - t0.value)
+                   for j in range(k) for r in facet_curve_roots(k, j) if r != t0)
+
+    def test_epsilon_beyond_the_root_gap_rejected(self):
+        # The gap is 9.34e-4 at k = 30, below the default epsilon 1e-3.
+        assert 9.3e-4 < self.root_gap(30) < 9.4e-4
+        with pytest.raises(ValueError, match="gap"):
+            facet_contact_check(30)
+        with pytest.raises(ValueError, match="gap"):
+            facet_contact_check(5, epsilon=self.root_gap(5))
+
+    def test_large_k_passes_inside_the_root_gap(self):
+        # The tangent clause probes the full-dimensional contact simplex in
+        # its own coordinates, where the half-step point stays interior.
+        for k in range(29, 41):
+            r = facet_contact_check(k, 0.5 * self.root_gap(k))
+            assert r.tangent_status == "pass"
+            assert r.passed

@@ -13,7 +13,6 @@ import pytest
 
 from trigmoment.angles import cos_at, rational_angle
 from trigmoment.facets import (
-    DERIV_TOL,
     RECON_TOL,
     ZERO_TOL,
     all_trig_identity_residuals,
@@ -21,7 +20,6 @@ from trigmoment.facets import (
     facet_curve_poly,
     facet_curve_poly_grid,
     facet_curve_roots,
-    facet_curve_sign,
     facet_functional,
     facet_nodes,
     inner_simplex,
@@ -30,6 +28,8 @@ from trigmoment.facets import (
     trig_identity_residual,
     verify_facet_description,
 )
+
+DERIV_TOL = 1e-8  # a multiplicity-one root has |f'| above this
 
 COS_72 = (math.sqrt(5.0) - 1.0) / 4.0   # cos(2*pi/5)
 COS_36 = (math.sqrt(5.0) + 1.0) / 4.0   # cos(pi/5)
@@ -202,13 +202,13 @@ class TestRootSets:
 
 class TestSignProfile:
     def test_window_sign_k3(self):
-        assert facet_curve_sign(3, 1, 2 * math.pi / 5 + 0.01) == 1
+        assert facet_curve_poly(3, 1, 2 * math.pi / 5 + 0.01) > 0.0
 
     def test_zero_at_half_pi(self):
-        assert facet_curve_sign(3, 1, rational_angle(1, 2)) == 0
+        assert facet_curve_poly(3, 1, rational_angle(1, 2)) == 0.0
 
     def test_window_sign_k4(self):
-        assert facet_curve_sign(4, 2, 3 * math.pi / 7 + 0.01) == -1
+        assert facet_curve_poly(4, 2, 3 * math.pi / 7 + 0.01) < 0.0
 
 
 class TestVanishingPattern:
@@ -256,15 +256,15 @@ class TestSimplices:
         s = outer_simplex(3)
         expect = np.array([[1.0, 1.0], [COS_72, -COS_36], [-COS_36, COS_72]])
         assert np.max(np.abs(s.vertices - expect)) < 1e-15
-        assert s.which == "outer"
+        assert s.vertex_angles[0] == rational_angle(0, 1)
 
     def test_inner_vertex_facet_incidence(self):
         # Every inner vertex satisfies all functionals >= -1e-10 with
         # equality on exactly k-1 of the k of them.
         for k in (2, 3, 4, 6):
-            s = inner_simplex(k)
-            for v in s.vertices:
-                vals = np.array([h(v) for h in s.facets])
+            facets = [facet_functional(k, j) for j in range(k)]
+            for v in inner_simplex(k).vertices:
+                vals = np.array([h(v) for h in facets])
                 assert np.all(vals >= -ZERO_TOL)
                 assert np.sum(np.abs(vals) < ZERO_TOL) == k - 1
 

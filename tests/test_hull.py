@@ -94,7 +94,7 @@ class TestInHull:
         cases = [(rng.normal(size=(n, d)), 3.0 * rng.normal(size=d) + 5.0)
                  for n, d in [(9, 2), (40, 3), (6, 5), (200, 4)]]
         cases.append((cosine_curve_samples(5, np.linspace(0.0, math.pi, 3000)),
-                      1.01 * cosine_curve(5, 0.8).coords))
+                      1.01 * cosine_curve(5, 0.8)))
         for points, query in cases:
             verdict = in_hull(query, points)
             assert verdict.verdict == "outside"
@@ -196,7 +196,7 @@ class TestInteriorityProbeAgainstReference:
         for theta in (half - 0.15, half - 0.03, half + 0.03, half + 0.15):
             thetas = np.unique(np.concatenate([np.linspace(0.0, math.pi, 1000), [theta]]))
             points = cosine_curve_samples(k, thetas)
-            query = cosine_curve(k, theta).coords
+            query = cosine_curve(k, theta)
             calls.clear()
             got = interiority_probe(query, points, delta).verdict
             probe_calls = len(calls)
@@ -254,11 +254,10 @@ class TestTangentCone:
         assert ok1 and ok2
         assert abs(cert1.objective_value - cert2.objective_value) < 1e-10
 
-    def test_lower_dimensional_facet_uses_affine_hull(self):
+    def test_lower_dimensional_facet_rejected(self):
         segment = np.array([[0.0, 0.0], [1.0, 1.0]])
-        ok, cert = tangent_cone_interior(np.zeros(2), np.array([1.0, 1.0]), segment)
-        assert ok
-        assert abs(cert.objective_value - math.sqrt(2.0)) < 1e-9
+        with pytest.raises(DegenerateGeometryError):
+            tangent_cone_interior(np.zeros(2), np.array([1.0, 1.0]), segment)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -280,8 +279,8 @@ def solve_edge_primal(k, alpha, beta, num_samples):
 
     kept = ts[(circ(ts, alpha) > radius) & (circ(ts, beta) > radius)]
     P = symmetric_curve_samples(k, kept)
-    sa = symmetric_curve(k, alpha).coords
-    sb = symmetric_curve(k, beta).coords
+    sa = symmetric_curve(k, alpha)
+    sb = symmetric_curve(k, beta)
     m, dim = P.shape
     # Variables: h (dim), h0, s (all free), then nonnegative slacks: one per
     # sample row, and u, w (dim each) for the box h + u = 1, h - w = -1.
@@ -330,8 +329,8 @@ class TestExposedEdgeCertificate:
         cert = exposed_edge_certificate(k, alpha, beta, num_samples=num_samples)
         assert cert is not None
         g = cert.functional
-        assert abs(g(symmetric_curve(k, alpha).coords)) < 1e-7
-        assert abs(g(symmetric_curve(k, beta).coords)) < 1e-7
+        assert abs(g(symmetric_curve(k, alpha))) < 1e-7
+        assert abs(g(symmetric_curve(k, beta))) < 1e-7
         # Strict domination holds outside the endpoint exclusion zones; inside
         # them the functional may rise slightly above zero (it is pinned at the
         # endpoints but not forced tangent there).

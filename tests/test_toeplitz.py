@@ -23,7 +23,7 @@ from trigmoment.toeplitz import (
 
 def curve_completion(k: int, theta: float):
     """The exact PSD completion at a curve point: even entries e^{2il*theta}."""
-    point = symmetric_curve(k, theta).coords
+    point = symmetric_curve(k, theta)
     even = np.exp(1j * 2.0 * theta * np.arange(1, k))
     return point, even
 
@@ -127,12 +127,12 @@ def membership_battery():
         for _ in range(3):
             thetas = rng.uniform(0.0, 2.0 * math.pi, 2 * k + 1)
             weights = rng.dirichlet(np.ones(thetas.size))
-            mixture = sum(w * symmetric_curve(k, t).coords for w, t in zip(weights, thetas))
+            mixture = sum(w * symmetric_curve(k, t) for w, t in zip(weights, thetas))
             cases.append((k, rng.uniform(0.3, 0.95) * mixture))
             direction = rng.normal(size=2 * k)
             direction *= math.sqrt(k) * rng.uniform(1.05, 1.5) / np.linalg.norm(direction)
             cases.append((k, direction))
-            curve = symmetric_curve(k, rng.uniform(0.0, 2.0 * math.pi)).coords
+            curve = symmetric_curve(k, rng.uniform(0.0, 2.0 * math.pi))
             cases.append((k, curve))
             cases.append((k, 1.00001 * curve))
     return cases
@@ -253,7 +253,7 @@ class TestMembership:
     def test_curve_points_are_members_with_tiny_eigenvalue(self):
         for k in (2, 3, 4):
             for theta in (0.0, 0.7, 2.5, 4.8):
-                verdict = toeplitz_membership(k, symmetric_curve(k, theta).coords)
+                verdict = toeplitz_membership(k, symmetric_curve(k, theta))
                 assert verdict.status == "member"
                 assert (verdict.stop, verdict.iterations) == ("psd", 0)
                 assert abs(verdict.smallest_eigenvalue) <= 1e-8
@@ -263,7 +263,7 @@ class TestMembership:
 
     def test_member_certificate_is_affine_feasible(self):
         k = 3
-        point = symmetric_curve(k, 1.3).coords
+        point = symmetric_curve(k, 1.3)
         verdict = toeplitz_membership(k, point)
         M = verdict.matrix
         assert np.max(np.abs(np.diagonal(M) - 1.0)) < 1e-12
@@ -291,7 +291,7 @@ class TestMembership:
             (3, 0.9, (1 / 3, 1 / 3, 1 / 3), True),
         ):
             point = scale * sum(
-                w * symmetric_curve(k, t).coords
+                w * symmetric_curve(k, t)
                 for w, t in zip(weights, (0.3, 2.1, 4.4))
             )
             verdict = toeplitz_membership(k, point)
@@ -306,7 +306,7 @@ class TestMembership:
         # "inconclusive": the smallest eigenvalue was still improving.
         k = 3
         point = sum(
-            symmetric_curve(k, t).coords for t in (0.5, 2.5, 4.5)
+            symmetric_curve(k, t) for t in (0.5, 2.5, 4.5)
         ) / 3.0
         verdict = toeplitz_membership(k, point)
         assert verdict.status == "inconclusive"
@@ -318,7 +318,7 @@ class TestMembership:
 
     def test_scaled_out_curve_point_is_refused(self):
         k = 2
-        point = 1.1 * symmetric_curve(k, 0.7).coords
+        point = 1.1 * symmetric_curve(k, 0.7)
         verdict = toeplitz_membership(k, point)
         assert verdict.status == "not_member_likely"
         assert verdict.stop == "stall_far"
@@ -326,7 +326,7 @@ class TestMembership:
     def test_stall_within_ten_tolerances_is_inconclusive(self):
         # Just outside the curve, the smallest eigenvalue stalls at about
         # -1.33e-5: below -tol, but not below -10*tol.
-        point = 1.00001 * symmetric_curve(2, 0.7).coords
+        point = 1.00001 * symmetric_curve(2, 0.7)
         verdict = toeplitz_membership(2, point, tol=4e-6)
         assert verdict.status == "inconclusive"
         assert verdict.stop == "stall_near"
@@ -342,7 +342,7 @@ class TestMembership:
             k, np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         )
         for theta in (0.4, 1.3, 2.7, 5.0):
-            base = symmetric_curve(k, theta).coords
+            base = symmetric_curve(k, theta)
             for radius, expect_member in ((0.3, True), (0.9, True), (1.15, False)):
                 point = radius * base
                 lp_member = in_hull(point, hull_samples).verdict == "member"
@@ -372,7 +372,7 @@ class TestMembership:
             toeplitz_membership(2, np.array([0.1, 0.0, 0.0, 0.0]), max_iterations=budget)
 
     def test_deterministic_reruns(self):
-        point = 0.8 * symmetric_curve(3, 2.0).coords
+        point = 0.8 * symmetric_curve(3, 2.0)
         v1 = toeplitz_membership(3, point)
         v2 = toeplitz_membership(3, point)
         assert v1.status == v2.status
