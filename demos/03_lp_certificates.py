@@ -2,8 +2,9 @@
 
 Membership comes with convex weights, exclusion with a separating
 functional, interiority with probe displacements, tangent-cone membership
-with a quantified step length, and exposed edges with a supporting
-functional whose domination margin is recomputed outside the solver.
+with barycentric coordinates and a step length, and exposed edges with a
+supporting functional whose domination margin is recomputed outside the
+solver.
 """
 
 import math
@@ -43,21 +44,20 @@ def main():
         print(f"  {np.round(point, 4)}: {verdict.verdict}")
     print()
 
-    print("tangent-cone interiority with a quantified step")
-    print("-----------------------------------------------")
+    print("tangent-cone interiority from barycentric coordinates")
+    print("-----------------------------------------------------")
     # At the k=4 contact vertex (angle 4*pi/7) the curve leaves along -C',
     # strictly inside the tangent cone; at the neighboring vertex the same
-    # recipe points outward and the LP refuses it.
+    # recipe points outward, a barycentric coordinate is negative, and the
+    # test refuses it.
     k = 4
     simplex = outer_simplex(k)
     for idx in (2, 1):
         angle = simplex.vertex_angles[idx]
         direction = -cosine_curve_deriv(k - 1, angle)
-        ok, cert = tangent_cone_interior(
-            simplex.vertices[idx], direction, simplex.vertices
-        )
-        step = f", max step eps*={cert.objective_value:.4f}" if ok else ""
-        print(f"  vertex at {angle!r}, direction -C'(t): interior={ok}{step}")
+        ok, step = tangent_cone_interior(simplex.vertices, idx, direction)
+        print(f"  vertex at {angle!r}, direction -C'(t): interior={ok}, "
+              f"max step eps*={step:.4f}")
     print()
 
     print("an exposed-edge certificate for a short chord (k=2)")

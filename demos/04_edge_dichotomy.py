@@ -7,8 +7,6 @@ a supporting functional (LP certificate), above it an interior-midpoint
 witness, and within 0.02 radians of the threshold it abstains.
 """
 
-import math
-
 from trigmoment.edges import edge_threshold, edge_verdict, facet_contact_check
 
 

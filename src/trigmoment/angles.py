@@ -110,6 +110,8 @@ def real_angle(x: float) -> Angle:
     v = math.fmod(x, TWO_PI) + 0.0  # adding +0.0 turns -0.0 into 0.0
     if v < 0.0:
         v += TWO_PI
+    if v == TWO_PI:  # a tiny negative v rounds up to a full turn
+        v = 0.0
     return Angle(None, None, v)
 
 

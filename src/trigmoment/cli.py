@@ -29,6 +29,7 @@ from .angles import (
     symmetric_curve,
 )
 from .edges import (
+    CONTACT_EPSILON,
     EvidenceContradictionError,
     edge_threshold,
     edge_verdict,
@@ -49,7 +50,7 @@ from .facets import (
     verify_facet_description,
 )
 from .hull import in_hull
-from .toeplitz import toeplitz_membership
+from .toeplitz import PSD_TOL, toeplitz_membership
 
 PLOT_KINDS = ("curve", "f-graphs", "facet-projection", "threshold-sweep")
 
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=RECON_TOL)
 
     p = _subcommand(sub, "tangent-cone", cmd_tangent_cone, "facet-contact check")
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--epsilon", type=float, default=CONTACT_EPSILON)
 
     p = _subcommand(sub, "threshold", cmd_threshold,
                     "estimate the critical arc length")
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--theta", type=parse_angle,
                        help="shorthand for the curve point at this angle")
     p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=PSD_TOL)
 
     p = _subcommand(sub, "plot-data", cmd_plot_data, "CSV data for external plotting")
     p.add_argument("kind", choices=PLOT_KINDS)

@@ -41,12 +41,14 @@ from trigmoment.hull import (
     tangent_cone_interior,
 )
 
-GUARD_BAND = 0.02   # radians around the threshold where verdicts abstain
-PROBE_DELTA = 1e-5  # probe displacement for midpoint interiority
+GUARD_BAND = 0.02       # radians around the threshold where verdicts abstain
+PROBE_DELTA = 1e-5      # probe displacement for midpoint interiority
+CONTACT_EPSILON = 1e-3  # default step from the contact angle in facet_contact_check
 
 __all__ = [
     "GUARD_BAND",
     "PROBE_DELTA",
+    "CONTACT_EPSILON",
     "EvidenceContradictionError",
     "EdgeVerdict",
     "ThresholdEstimate",
@@ -274,7 +276,7 @@ def _contact_data(k: int):
     return rational_angle(k, 2 * k - 1), k // 2, -1.0
 
 
-def facet_contact_check(k: int, epsilon: float = 1e-3) -> FacetContactReport:
+def facet_contact_check(k: int, epsilon: float = CONTACT_EPSILON) -> FacetContactReport:
     """Verify how the cosine curve meets the critical facet.
 
     At the contact angle t0 ((k-1)*pi/(2k-1) for odd k, k*pi/(2k-1) for
@@ -308,14 +310,11 @@ def facet_contact_check(k: int, epsilon: float = 1e-3) -> FacetContactReport:
     if k == 2:
         tangent_status, tangent_step = "trivial-pass", None
     else:
-        vertex = cosine_curve(k - 1, t0)
+        # Row j_star of the outer simplex is C_{k-1}(t0), the contact vertex.
         direction = orientation * cosine_curve_deriv(k - 1, t0)
-        inside, cert = tangent_cone_interior(vertex, direction,
-                                             outer_simplex(k).vertices)
+        inside, tangent_step = tangent_cone_interior(outer_simplex(k).vertices,
+                                                     j_star, direction)
         tangent_status = "pass" if inside else "fail"
-        tangent_step = (
-            float(cert.objective_value) if cert.status == "optimal" else None
-        )
 
     failures = []
     for side, at, expected_other in (

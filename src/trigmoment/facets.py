@@ -31,7 +31,6 @@ import numpy as np
 
 from trigmoment.angles import (
     Angle,
-    as_angle,
     cos_at,
     cosine_curve,
     cosine_curve_samples,

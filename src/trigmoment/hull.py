@@ -1,15 +1,16 @@
 """Convex-hull membership, interiority probes, tangent cones, and exposed-edge
-certificates, all reduced to linear programs.
+certificates.
 
 Membership of a query point in the hull of finitely many points is a
 feasibility LP over barycentric weights; its Farkas certificate on failure is
 a separating affine functional.  Interiority is decided by probing the 2n
-axis directions around a member.  The tangent-cone test maximizes the step
-length along a direction that stays inside a full-dimensional facet, then
-confirms interiority at half that step.  The exposed-edge certificate
-searches for a supporting functional pinned to two curve points and
-maximizing the worst slack over curve samples; the search LP is solved
-through its explicit dual, whose row multipliers are the functional itself.
+axis directions around a member.  The tangent-cone test needs no LP: in a
+simplex, a direction's barycentric coordinates decide whether it points into
+the interior at a vertex, and give the largest step that stays inside.  The
+exposed-edge certificate searches for a supporting functional pinned to two
+curve points and maximizing the worst slack over curve samples; the search
+LP is solved through its explicit dual, whose row multipliers are the
+functional itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from trigmoment.angles import arc_distance, as_angle, symmetric_curve, symmetric_curve_samples
 from trigmoment.facets import AffineFunctional, ConvexCombination
-from trigmoment.lp import FEAS_TOL, LinearProgram, LPCertificate, lp_solve
+from trigmoment.lp import FEAS_TOL, LinearProgram, lp_solve
 
 MARGIN_TOL = 1e-7  # minimum slack for an edge certificate to count
 
@@ -38,7 +39,8 @@ __all__ = [
 
 
 class DegenerateGeometryError(ValueError):
-    """Point set does not span the ambient space where full dimension is required."""
+    """Point set does not span the ambient space, or is not the simplex a
+    computation requires."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,49 +154,40 @@ def interiority_probe(query, points, delta: float) -> HullVerdict:
     return HullVerdict(verdict="interior", witness=base.witness)
 
 
-def tangent_cone_interior(vertex, direction, facet_vertices):
-    """Does ``direction`` point into the interior of the facet at ``vertex``?
+def tangent_cone_interior(vertices, index: int, direction):
+    """Does ``direction`` point into the interior of a simplex at one vertex?
 
-    Maximizes epsilon with vertex + epsilon * direction inside the hull of
-    ``facet_vertices`` (an LP over barycentric weights), requires the
-    optimum strictly positive, then probes interiority at half the optimal
-    step in the facet's own coordinates.  The facet must span its ambient
-    space; a lower-dimensional one raises DegenerateGeometryError from the
-    probe.  Returns (bool, LPCertificate); the certificate's objective value
-    is the optimal step for the normalized direction, so the verdict is
-    invariant under positive rescaling.
+    ``vertices`` are the d + 1 vertices of a full-dimensional simplex in R^d
+    and ``index`` picks the vertex.  With M = [vertices.T; 1 ... 1] and u the
+    normalized direction, M c = (u, 0) gives u's barycentric coordinates c:
+    vertex + t * u has weights e_index + t * c.  So u points into the
+    interior exactly when every c_i with i != index is positive.  Returns
+    (inside, step): step = 1 / sum_{i != index} c_i, the largest t keeping
+    vertex + t * u in the simplex, when no such c_i is negative, else 0.0.
+    Any other vertex count, or a condition number of M above 1 / FEAS_TOL,
+    raises DegenerateGeometryError, and so does a residual of the solve
+    above FEAS_TOL, which is re-verified before the verdict leaves.
     """
-    vertex = np.asarray(vertex, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    facet_vertices = np.asarray(facet_vertices, dtype=float)
+    vertices = np.asarray(vertices, dtype=float)
+    count, d = vertices.shape
+    if count != d + 1:
+        raise DegenerateGeometryError(f"a simplex in R^{d} has {d + 1} vertices, got {count}")
     norm = float(np.linalg.norm(direction))
     if norm <= 1e-12:
         raise ValueError("direction is numerically zero")
-    unit = direction / norm
-    gaps = np.max(np.abs(facet_vertices - vertex), axis=1)
-    if float(np.min(gaps)) > 1e-9:
-        raise ValueError("vertex is not among the facet vertices")
-
-    mcount, d = facet_vertices.shape
-    A = np.zeros((d + 1, mcount + 1))
-    A[:d, :mcount] = facet_vertices.T
-    A[:d, mcount] = -unit
-    A[d, :mcount] = 1.0
-    lp = LinearProgram(
-        objective=np.concatenate([np.zeros(mcount), [1.0]]),
-        A=A,
-        rhs=np.concatenate([vertex, [1.0]]),
-        maximize=True,
-    )
-    cert = lp_solve(lp)
-    if cert.status != "optimal":
-        return False, cert
-    eps_star = float(cert.objective_value)
-    if eps_star <= 1e-9:
-        return False, cert
-    verdict = interiority_probe(vertex + 0.5 * eps_star * unit, facet_vertices,
-                                max(1e-9, 1e-3 * eps_star))
-    return verdict.verdict == "interior", cert
+    M = np.vstack([vertices.T, np.ones(count)])
+    condition = float(np.linalg.cond(M))
+    if not condition * FEAS_TOL <= 1.0:
+        raise DegenerateGeometryError(f"the simplex is ill-conditioned: cond {condition:.3e}")
+    rhs = np.append(np.asarray(direction, dtype=float) / norm, 0.0)
+    coords = np.linalg.solve(M, rhs)
+    residual = float(np.max(np.abs(M @ coords - rhs)))
+    if not residual <= FEAS_TOL:
+        raise DegenerateGeometryError(f"barycentric residual {residual:.3e} exceeds FEAS_TOL")
+    others = np.delete(coords, index)
+    inside = bool(np.all(others > 0.0))
+    step = 1.0 / float(others.sum()) if np.all(others >= 0.0) else 0.0
+    return inside, step
 
 
 def exposed_edge_certificate(k: int, alpha, beta, num_samples: int = 2000):

@@ -32,7 +32,7 @@ __all__ = ["FEAS_TOL", "GAP_TOL", "LinearProgram", "LPCertificate", "lp_solve"]
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min (or max) objective @ x subject to A @ x = rhs.
+    """min objective @ x subject to A @ x = rhs.
 
     Every variable is nonnegative except those marked in ``free``, a boolean
     mask with one entry per variable; None means no variable is free.
@@ -42,7 +42,6 @@ class LinearProgram:
     A: np.ndarray
     rhs: np.ndarray
     free: np.ndarray | None = None
-    maximize: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
@@ -247,7 +246,7 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
     col_sign = np.ones(var_idx.size)
     col_sign[np.cumsum(width)[free] - 1] = -1.0
     A_std = A0[:, var_idx] * col_sign
-    c_std = (-c0 if lp.maximize else c0)[var_idx] * col_sign
+    c_std = c0[var_idx] * col_sign
 
     status, z, y = _simplex_standard(A_std, b0, c_std)
 
@@ -273,6 +272,6 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
         status="optimal",
         primal=x,
         objective_value=float(c0 @ x),
-        dual=-y if lp.maximize else y,
+        dual=y,
         dual_gap=float(gap),
     )

@@ -27,12 +27,15 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "PSD_TOL",
     "MembershipVerdict",
     "toeplitz_assemble",
     "min_eigenvalue",
     "toeplitz_membership",
 ]
 
+# Default tolerance: a smallest eigenvalue down to -PSD_TOL counts as PSD.
+PSD_TOL = 1e-8
 # A rise of the smallest eigenvalue by less than this is rounding, not progress.
 STALL_GAIN = 1e-13
 # Iterations without such a rise before the search counts as stalled.
@@ -139,7 +142,7 @@ def _real_frame(k: int) -> _Frame:
     return parts
 
 
-def toeplitz_membership(k: int, point, tol: float = 1e-8,
+def toeplitz_membership(k: int, point, tol: float = PSD_TOL,
                         max_iterations: int = 2000) -> MembershipVerdict:
     """Decide hull membership by searching for a PSD Toeplitz completion.
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from trigmoment.angles import (
+    TWO_PI,
     Angle,
     arc_distance,
     as_angle,
@@ -69,6 +70,12 @@ class TestAngleConstruction:
             assert a.value == 0.0
             assert math.copysign(1.0, a.value) == 1.0
             assert str(a) == "0.0"
+
+    def test_tiny_negative_is_not_a_full_turn(self):
+        # fmod(x, 2*pi) + 2*pi rounds up to exactly 2*pi for tiny negative x.
+        for a in (real_angle(-1e-20), -real_angle(1e-20)):
+            assert a.value < TWO_PI
+            assert a == real_angle(0.0)
 
     def test_real_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,13 @@ class TestEstimateThreshold:
         with pytest.raises(ValueError):
             estimate_threshold(1)
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
+        "an in_hull LP ends with a basic weight of -5.5e-9; clipping it leaves "
+        "the sum-to-one row 7.4e-9 off and lp_solve's verification refuses it"))
+    def test_k9_at_4000_samples(self):
+        est = estimate_threshold(9, 4000)
+        assert abs(est.psi_hat - edge_threshold(9)) < 5e-3
+
     def test_nan_resolution_rejected(self):
         # NaN compares false with everything: a `resolution < 1e-4` check let
         # it through and the seeded bracket came back as the estimate.
@@ -247,9 +254,9 @@ class TestFacetContactCheck:
             facet_contact_check(5, epsilon=self.root_gap(5))
 
     def test_large_k_passes_inside_the_root_gap(self):
-        # The tangent clause probes the full-dimensional contact simplex in
-        # its own coordinates, where the half-step point stays interior.
-        for k in range(29, 41):
-            r = facet_contact_check(k, 0.5 * self.root_gap(k))
+        # Half the root gap, capped below facet_contact_check's 0.1 limit
+        # (the gap is 0.21 at k = 3).
+        for k in range(3, 61):
+            r = facet_contact_check(k, min(0.5 * self.root_gap(k), 0.05))
             assert r.tangent_status == "pass"
             assert r.passed

@@ -1,7 +1,7 @@
 """Tests for hull membership, probes, tangent cones, and edge certificates.
 
 Oracles: a cross-product point-in-convex-polygon test for planar hulls, a
-brute-force step-length scan for the tangent-cone LP, and a directly solved
+brute-force step-length scan for the tangent-cone step, and a directly solved
 primal for the exposed-edge LP whose optimum must match the dual-based
 implementation by strong duality.
 """
@@ -223,49 +223,64 @@ class TestTangentCone:
     TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
     def test_interior_direction_accepted_with_exact_step(self):
-        ok, cert = tangent_cone_interior(np.zeros(2), np.array([1.0, 1.0]), self.TRIANGLE)
+        ok, step = tangent_cone_interior(self.TRIANGLE, 0, np.array([1.0, 1.0]))
         assert ok
         # Along (1,1)/sqrt(2) the constraint x + y <= 1 binds at t = sqrt(2)/2.
-        assert abs(cert.objective_value - math.sqrt(2.0) / 2.0) < 1e-9
+        assert abs(step - math.sqrt(2.0) / 2.0) < 1e-9
 
     def test_step_matches_brute_force_scan(self):
+        # A random triangle and a random tetrahedron, each left from vertex 1
+        # toward its perturbed centroid.  No step inside a simplex in the
+        # cube [-1, 1]^d exceeds the cube's diameter 2 * sqrt(d), where the
+        # scan ends.
         rng = np.random.default_rng(23)
-        vertices = convex_polygon(7, seed=31)
-        vertex = vertices[2]
-        inward = vertices.mean(axis=0) - vertex + rng.normal(scale=0.05, size=2)
-        unit = inward / np.linalg.norm(inward)
-        ok, cert = tangent_cone_interior(vertex, inward, vertices)
-        assert ok
-        scanned = scan_max_step(vertex, unit, vertices)
-        assert abs(cert.objective_value - scanned) < 2e-3
+        for d in (2, 3):
+            vertices = rng.uniform(-1.0, 1.0, size=(d + 1, d))
+            vertex = vertices[1]
+            inward = vertices.mean(axis=0) - vertex + rng.normal(scale=0.05, size=d)
+            unit = inward / np.linalg.norm(inward)
+            ok, step = tangent_cone_interior(vertices, 1, inward)
+            assert ok, d
+            scanned = scan_max_step(vertex, unit, vertices, hi=2.0 * math.sqrt(d))
+            assert abs(step - scanned) < 2e-3, d
 
     def test_edge_direction_rejected(self):
-        ok, _ = tangent_cone_interior(np.zeros(2), np.array([1.0, 0.0]), self.TRIANGLE)
+        # Along the edge to vertex 1 the coordinate of vertex 2 is exactly 0.
+        ok, step = tangent_cone_interior(self.TRIANGLE, 0, np.array([1.0, 0.0]))
         assert not ok
+        assert step == 1.0
 
     def test_outward_direction_rejected(self):
-        ok, cert = tangent_cone_interior(np.zeros(2), np.array([-1.0, -1.0]), self.TRIANGLE)
+        ok, step = tangent_cone_interior(self.TRIANGLE, 0, np.array([-1.0, -1.0]))
         assert not ok
-        assert cert.objective_value <= 1e-9
+        assert step == 0.0
 
     def test_positive_rescaling_is_invariant(self):
-        ok1, cert1 = tangent_cone_interior(np.zeros(2), np.array([1.0, 2.0]), self.TRIANGLE)
-        ok2, cert2 = tangent_cone_interior(np.zeros(2), np.array([100.0, 200.0]), self.TRIANGLE)
+        ok1, step1 = tangent_cone_interior(self.TRIANGLE, 0, np.array([1.0, 2.0]))
+        ok2, step2 = tangent_cone_interior(self.TRIANGLE, 0, np.array([100.0, 200.0]))
         assert ok1 and ok2
-        assert abs(cert1.objective_value - cert2.objective_value) < 1e-10
+        assert abs(step1 - step2) < 1e-10
 
     def test_lower_dimensional_facet_rejected(self):
         segment = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DegenerateGeometryError):
-            tangent_cone_interior(np.zeros(2), np.array([1.0, 1.0]), segment)
+            tangent_cone_interior(segment, 0, np.array([1.0, 1.0]))
+        # A polygon with more than d + 1 vertices is not a simplex.
+        with pytest.raises(DegenerateGeometryError):
+            tangent_cone_interior(convex_polygon(4, seed=5), 0, np.array([1.0, 1.0]))
+        # Three points on a line, exactly or up to 1e-13.
+        for apex in ([2.0, 2.0], [2.0, 2.0 + 1e-13]):
+            flat = np.array([[0.0, 0.0], [1.0, 1.0], apex])
+            with pytest.raises(DegenerateGeometryError):
+                tangent_cone_interior(flat, 0, np.array([1.0, 0.0]))
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            tangent_cone_interior(np.zeros(2), np.zeros(2), self.TRIANGLE)
+            tangent_cone_interior(self.TRIANGLE, 0, np.zeros(2))
 
     def test_vertex_must_belong_to_facet(self):
-        with pytest.raises(ValueError):
-            tangent_cone_interior(np.array([5.0, 5.0]), np.array([1.0, 1.0]), self.TRIANGLE)
+        with pytest.raises(IndexError):
+            tangent_cone_interior(self.TRIANGLE, 3, np.array([1.0, 1.0]))
 
 
 def solve_edge_primal(k, alpha, beta, num_samples):
@@ -303,13 +318,12 @@ def solve_edge_primal(k, alpha, beta, num_samples):
     free = np.zeros(n_var, dtype=bool)
     free[:dim + 2] = True
     objective = np.zeros(n_var)
-    objective[dim + 1] = 1.0
+    objective[dim + 1] = -1.0  # maximize s as min -s
     lp = LinearProgram(
         objective=objective,
         A=A,
         rhs=np.concatenate([np.zeros(2 + m), np.ones(dim), -np.ones(dim)]),
         free=free,
-        maximize=True,
     )
     return lp_solve(lp)
 
@@ -321,7 +335,7 @@ class TestExposedEdgeCertificate:
         cert = exposed_edge_certificate(k, alpha, beta, num_samples=240)
         assert primal.status == "optimal"
         assert cert is not None
-        assert abs(cert.margin - primal.objective_value) < 1e-7
+        assert abs(cert.margin - (-primal.objective_value)) < 1e-7
 
     def test_certificate_pins_endpoints_and_dominates_samples(self):
         k, alpha, beta = 2, 0.0, 1.5

@@ -15,10 +15,8 @@ from trigmoment.lp import FEAS_TOL, LinearProgram, lp_solve
 scipy_linprog = pytest.importorskip("scipy.optimize", reason="scipy oracle").linprog
 
 
-def solve(objective, A, rhs, free=None, maximize=False):
-    return lp_solve(
-        LinearProgram(objective=objective, A=A, rhs=rhs, free=free, maximize=maximize)
-    )
+def solve(objective, A, rhs, free=None):
+    return lp_solve(LinearProgram(objective=objective, A=A, rhs=rhs, free=free))
 
 
 def bounded_instance(rng, m, n, free):
@@ -33,26 +31,25 @@ def bounded_instance(rng, m, n, free):
 
 class TestTrivialStatuses:
     def test_bounded_maximum(self):
-        # max x st x + s = 1, x, s >= 0
-        cert = solve([1.0, 0.0], [[1.0, 1.0]], [1.0], maximize=True)
+        # max x st x + s = 1, x, s >= 0, as min -x
+        cert = solve([-1.0, 0.0], [[1.0, 1.0]], [1.0])
         assert cert.status == "optimal"
         assert abs(cert.primal[0] - 1.0) < 1e-12
-        assert abs(cert.objective_value - 1.0) < 1e-12
+        assert abs(-cert.objective_value - 1.0) < 1e-12
 
     def test_infeasible(self):
-        # x - s1 = 1 and x + s2 = 0 with x free, s1, s2 >= 0
+        # max x st x - s1 = 1 and x + s2 = 0 with x free, s1, s2 >= 0, as min -x
         cert = solve(
-            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0],
             [[1.0, -1.0, 0.0], [1.0, 0.0, 1.0]],
             [1.0, 0.0],
             free=[True, False, False],
-            maximize=True,
         )
         assert cert.status == "infeasible"
 
     def test_unbounded(self):
-        # max x st x - s = 0 with x free, s >= 0
-        cert = solve([1.0, 0.0], [[1.0, -1.0]], [0.0], free=[True, False], maximize=True)
+        # max x st x - s = 0 with x free, s >= 0, as min -x
+        cert = solve([-1.0, 0.0], [[1.0, -1.0]], [0.0], free=[True, False])
         assert cert.status == "unbounded"
 
 
@@ -107,11 +104,12 @@ class TestFreeColumns:
         c, A, rhs = bounded_instance(rng, 3, n, free)
         maximize = seed % 2 == 1
         if maximize:
-            c = -c
+            c = -c  # odd seeds maximize c @ x, posed as min -c @ x
+        objective = -c if maximize else c
         cols = [j for j in range(n) for _ in range(1 + free[j])]
         signs = np.array([s for f in free for s in ((1.0, -1.0) if f else (1.0,))])
-        split = solve(c[cols] * signs, A[:, cols] * signs, rhs, maximize=maximize)
-        mine = solve(c, A, rhs, free=free, maximize=maximize)
+        split = solve(objective[cols] * signs, A[:, cols] * signs, rhs)
+        mine = solve(objective, A, rhs, free=free)
         assert mine.status == split.status == "optimal"
         expected = np.zeros(n)
         np.add.at(expected, cols, signs * split.primal)
@@ -203,10 +201,11 @@ class TestAgainstScipyOracle:
                 c = rng.normal(size=n)
             maximize = bool(rng.integers(0, 2))
             if maximize:
-                c = -c
-            mine = solve(c, A, rhs, free=free, maximize=maximize)
+                c = -c  # the trial maximizes c @ x, posed as min -c @ x
+            objective = -c if maximize else c
+            mine = solve(objective, A, rhs, free=free)
             ref = scipy_linprog(
-                -c if maximize else c, A_eq=A, b_eq=rhs,
+                objective, A_eq=A, b_eq=rhs,
                 bounds=[(None, None) if f else (0.0, None) for f in free],
                 method="highs",
             )
@@ -214,8 +213,7 @@ class TestAgainstScipyOracle:
             assert mine.status == expected, f"trial {trial}"
             seen.add(expected)
             if expected == "optimal":
-                ref_val = -ref.fun if maximize else ref.fun
-                assert abs(mine.objective_value - ref_val) < 1e-6, f"trial {trial}"
+                assert abs(mine.objective_value - ref.fun) < 1e-6, f"trial {trial}"
             elif expected == "infeasible":
                 # Farkas: y @ A <= 0 on nonnegative columns, = 0 on free ones.
                 yA = mine.dual @ A
