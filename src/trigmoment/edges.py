@@ -38,6 +38,8 @@ from trigmoment.hull import (
     HullVerdict,
     exposed_edge_certificate,
     interiority_probe,
+    probe_spanning,
+    require_spanning,
     tangent_cone_interior,
 )
 
@@ -140,13 +142,22 @@ def midpoint_interiority(k: int, theta, num_samples: int = 2000,
         raise ValueError(f"k must be >= 2, got {k}")
     if num_samples < 500:
         raise ValueError(f"num_samples must be >= 500, got {num_samples}")
+    grid = np.linspace(0.0, math.pi, num_samples)
+    query, samples = _midpoint_problem(k, grid, cosine_curve_samples(k, grid), theta)
+    return interiority_probe(query, samples, delta)
+
+
+def _midpoint_problem(k: int, grid: np.ndarray, grid_samples: np.ndarray, theta):
+    """Query C_k(theta) and the samples to probe it against: the rows
+    cosine_curve_samples(k, np.unique(np.append(grid, folded))) for theta
+    folded into [0, pi], built from the sorted grid's ``grid_samples``."""
     ang = as_angle(theta)
     folded = float(arc_distance(ang.value, 0.0))  # cos(2*pi - t) = cos(t)
-    thetas = np.unique(np.concatenate([np.linspace(0.0, math.pi, num_samples),
-                                       [folded]]))
-    samples = cosine_curve_samples(k, thetas)
-    query = cosine_curve(k, ang)
-    return interiority_probe(query, samples, delta)
+    at = int(np.searchsorted(grid, folded))
+    samples = grid_samples
+    if at == grid.size or grid[at] != folded:
+        samples = np.insert(grid_samples, at, cosine_curve_samples(k, [folded]), axis=0)
+    return cosine_curve(k, ang), samples
 
 
 def estimate_threshold(k: int, num_samples: int = 4000,
@@ -160,6 +171,11 @@ def estimate_threshold(k: int, num_samples: int = 4000,
     the first bracket, arcs edge_threshold(k) +- 0.3; a 60-point scan of
     (0, pi/2] is used if its endpoints do not straddle, and a non-monotone
     verdict pattern there raises EvidenceContradictionError.
+
+    Every step gives the verdict midpoint_interiority(k, theta, num_samples,
+    delta) would give, bit for bit, but the equispaced grid on [0, pi], its
+    cosine samples and their full-dimension check are built once per
+    estimate; each step only inserts the row of its own angle.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -167,9 +183,16 @@ def estimate_threshold(k: int, num_samples: int = 4000,
         raise ValueError(f"num_samples must be >= 1000, got {num_samples}")
     if not resolution >= 1e-4:
         raise ValueError(f"resolution must be >= 1e-4, got {resolution}")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+
+    grid = np.linspace(0.0, math.pi, num_samples)
+    grid_samples = cosine_curve_samples(k, grid)
+    require_spanning(grid_samples, k)
 
     def is_interior(theta: float) -> bool:
-        verdict = midpoint_interiority(k, theta, num_samples, delta).verdict
+        query, samples = _midpoint_problem(k, grid, grid_samples, theta)
+        verdict = probe_spanning(query, samples, delta).verdict
         if verdict == "outside":
             raise EvidenceContradictionError(
                 f"midpoint at half-arc {theta:.6f} fell outside the sampled hull"
@@ -181,8 +204,8 @@ def estimate_threshold(k: int, num_samples: int = 4000,
     hi = min(0.5 * (psi + 0.3), 0.5 * math.pi)
     if is_interior(lo) or not is_interior(hi):
         # Seeded bracket failed; scan the whole half-arc range.
-        grid = np.linspace(0.02, 0.5 * math.pi, 60)
-        flags = [is_interior(t) for t in grid]
+        scan = np.linspace(0.02, 0.5 * math.pi, 60)
+        flags = [is_interior(t) for t in scan]
         if not flags[-1] or flags[0] or any(
             a and not b for a, b in zip(flags, flags[1:])
         ):
@@ -191,7 +214,7 @@ def estimate_threshold(k: int, num_samples: int = 4000,
                 f"(0, pi/2] for k={k}; verdict pattern {flags}"
             )
         first_true = flags.index(True)
-        lo, hi = float(grid[first_true - 1]), float(grid[first_true])
+        lo, hi = float(scan[first_true - 1]), float(scan[first_true])
 
     while hi - lo >= 0.5 * resolution:
         mid = 0.5 * (lo + hi)

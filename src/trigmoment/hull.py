@@ -126,13 +126,23 @@ def interiority_probe(query, points, delta: float) -> HullVerdict:
         raise ValueError(f"delta must be positive, got {delta}")
     query = np.asarray(query, dtype=float)
     points = np.asarray(points, dtype=float)
-    d = query.shape[0]
+    require_spanning(points, query.shape[0])
+    return probe_spanning(query, points, delta)
+
+
+def require_spanning(points: np.ndarray, d: int) -> None:
+    """Raise DegenerateGeometryError unless ``points`` affinely span R^d."""
     centered = points - points.mean(axis=0)
     if np.linalg.matrix_rank(centered) < d:
         raise DegenerateGeometryError(
             f"points span less than the ambient dimension {d}"
         )
 
+
+def probe_spanning(query: np.ndarray, points: np.ndarray, delta: float) -> HullVerdict:
+    """``interiority_probe`` for float arrays whose caller has already
+    checked that ``points`` span R^d and that ``delta`` is positive."""
+    d = query.shape[0]
     base = in_hull(query, points)
     if base.verdict == "outside":
         return base

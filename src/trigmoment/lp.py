@@ -12,9 +12,9 @@ deterministically.
 
 Every optimal solve re-derives the basic solution and the row multipliers
 from a fresh factorization of the final basis, and ``lp_solve`` verifies
-primal feasibility and the duality gap before returning; an
-infeasible phase 1 yields the Farkas row combination used elsewhere to build
-separating functionals.
+three things before returning: primal feasibility, the duality gap, and
+dual feasibility of the multipliers.  An infeasible phase 1 yields the
+Farkas row combination used elsewhere to build separating functionals.
 """
 
 from __future__ import annotations
@@ -55,10 +55,13 @@ class LinearProgram:
 class LPCertificate:
     """Outcome of a solve.
 
-    For "optimal": ``primal`` satisfies every row within the relative bound
-    FEAS_TOL * max(1, max|b|, max|x|) and achieves ``objective_value``;
-    ``dual`` holds one multiplier per original row and
-    the verified duality gap is stored in ``dual_gap``.  For "infeasible":
+    For "optimal", three verifications passed, each relative to
+    scale = max(1, max|b|, max|x|).  Primal: ``primal`` satisfies every row
+    within FEAS_TOL * scale and achieves ``objective_value``.  Gap: ``dual``
+    holds one multiplier y per original row, and |y @ b - c @ x|, stored
+    in ``dual_gap``, is at most GAP_TOL * scale.  Dual: the reduced
+    costs c - y @ A are >= -FEAS_TOL * scale on the nonnegative variables
+    and within FEAS_TOL * scale of 0 on the free ones.  For "infeasible":
     ``dual`` holds a Farkas combination y of the original rows (y @ A <= 0
     on the nonnegative variables, y @ A = 0 on the free ones, y @ rhs > 0).
     For "unbounded" only the status is meaningful.
@@ -141,17 +144,16 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     certificate with y @ A <= FEAS_TOL componentwise and y @ b > 0.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
 
     signs = np.where(b < 0.0, -1.0, 1.0)
-    A_w = A * signs[:, None]
     b_w = b * signs
 
     # Tableau [A | I | b] plus a reduced-cost row; artificials start basic.
     tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = A_w
+    np.multiply(A, signs[:, None], out=tab[:m, :n])
     tab[:m, n:n + m] = np.eye(m)
     tab[:m, -1] = b_w
     basis = np.arange(n, n + m)
@@ -182,13 +184,15 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     if not np.all(keep):
         tab = np.vstack([tab[:m][keep], tab[-1:]])
         basis = basis[keep]
-        A_w, b_w, signs = A_w[keep], b_w[keep], signs[keep]
+        b_w, signs = b_w[keep], signs[keep]
         m = int(keep.sum())
+    # The artificial columns of the kept rows hold B^-1 of the current basis.
+    art = n + kept_rows
 
     # Phase 2 with the real costs.
     c_basic = c[basis]
     tab[-1, :n] = c - c_basic @ tab[:m, :n]
-    tab[-1, n:n + m] = -c_basic @ tab[:m, n:n + m]
+    tab[-1, art] = -c_basic @ tab[:m, art]
     tab[-1, -1] = -c_basic @ tab[:m, -1]
     step, pivots = _run_phase(tab, basis, n, pivots)
     if step == "unbounded":
@@ -198,8 +202,8 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     # incrementally updated tableau values instead if the basis matrix is
     # too ill-conditioned for the fresh solve to satisfy the constraints.
     x_basic = tab[:m, -1]
-    y = c[basis] @ tab[:m, n:n + m]
-    B = A_w[:, basis]
+    y = c[basis] @ tab[:m, art]
+    B = A[np.ix_(kept_rows, basis)] * signs[:, None]
     scale = max(1.0, float(np.abs(b_w).max(initial=0.0)))
     try:
         cand_x = np.linalg.solve(B, b_w)
@@ -224,8 +228,8 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
     The standard form keeps one column per variable, with each free
     variable's negated copy right after it.  This column order fixes the
     simplex's pivot path, and with it the certificates, so it must not
-    change.  Optimal results are checked for primal feasibility and duality
-    gap before being returned.
+    change.  Optimal results are checked for primal feasibility, duality
+    gap and dual feasibility before being returned.
     """
     c0 = lp.objective
     A0 = lp.A
@@ -241,12 +245,12 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
     if free.shape != (n,):
         raise ValueError("free mask length must match variable count")
 
-    width = 1 + free
-    var_idx = np.repeat(np.arange(n), width)
-    col_sign = np.ones(var_idx.size)
-    col_sign[np.cumsum(width)[free] - 1] = -1.0
-    A_std = A0[:, var_idx] * col_sign
-    c_std = c0[var_idx] * col_sign
+    free_idx = np.flatnonzero(free)
+    neg_idx = free_idx + np.arange(1, free_idx.size + 1)  # copies' columns in z
+    A_std, c_std = A0, c0
+    if free_idx.size:  # np.insert copies the whole matrix even to insert nothing
+        A_std = np.insert(A0, free_idx + 1, -A0[:, free_idx], axis=1)
+        c_std = np.insert(c0, free_idx + 1, -c0[free_idx])
 
     status, z, y = _simplex_standard(A_std, b0, c_std)
 
@@ -255,8 +259,8 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
     if status == "unbounded":
         return LPCertificate(status="unbounded")
 
-    x = np.zeros(n)
-    np.add.at(x, var_idx, col_sign * z)
+    x = np.delete(z, neg_idx)
+    x[free_idx] -= z[neg_idx]
 
     # Verify the certificate before handing it out.
     scale = max(1.0, float(np.abs(b0).max(initial=0.0)), float(np.abs(x).max(initial=0.0)))
@@ -267,6 +271,11 @@ def lp_solve(lp: LinearProgram) -> LPCertificate:
     gap = abs(float(y @ b0) - float(c_std @ z))
     if gap > GAP_TOL * scale:
         raise RuntimeError(f"duality gap {gap:.3e} exceeds tolerance")
+    reduced = c0 - y @ A0
+    violation = np.where(free, np.abs(reduced), -reduced)
+    if violation.max(initial=0.0) > FEAS_TOL * scale:
+        col = int(np.argmax(violation))
+        raise RuntimeError(f"row multipliers violate dual column {col} by {violation[col]:.3e}")
 
     return LPCertificate(
         status="optimal",

@@ -11,10 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from trigmoment.angles import rational_angle, symmetric_curve_samples
+from trigmoment.angles import (
+    arc_distance,
+    cosine_curve,
+    cosine_curve_samples,
+    rational_angle,
+    symmetric_curve_samples,
+)
 from trigmoment.edges import (
     GUARD_BAND,
+    PROBE_DELTA,
     EvidenceContradictionError,
+    _midpoint_problem,
     edge_threshold,
     edge_verdict,
     estimate_threshold,
@@ -22,6 +30,30 @@ from trigmoment.edges import (
     midpoint_interiority,
 )
 from trigmoment.facets import facet_curve_poly, facet_curve_roots
+
+
+def reference_bracket(k, num_samples, resolution, delta):
+    """estimate_threshold's bisection, written out with a public
+    midpoint_interiority call at every step."""
+    def is_interior(theta):
+        verdict = midpoint_interiority(k, theta, num_samples, delta).verdict
+        assert verdict != "outside"
+        return verdict == "interior"
+
+    psi = edge_threshold(k)
+    lo = 0.5 * (psi - 0.3)
+    hi = min(0.5 * (psi + 0.3), 0.5 * math.pi)
+    if is_interior(lo) or not is_interior(hi):
+        scan = np.linspace(0.02, 0.5 * math.pi, 60)
+        first = [is_interior(t) for t in scan].index(True)
+        lo, hi = float(scan[first - 1]), float(scan[first])
+    while hi - lo >= 0.5 * resolution:
+        mid = 0.5 * (lo + hi)
+        if is_interior(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (2.0 * lo, 2.0 * hi)
 
 
 class TestEdgeThreshold:
@@ -78,6 +110,22 @@ class TestMidpointInteriority:
         with pytest.raises(ValueError, match="delta must be positive"):
             midpoint_interiority(2, 1.0, 2000, delta=math.nan)
 
+    @pytest.mark.parametrize("n", [1000, 4001])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_inserted_row_gives_the_unique_grid(self, k, n):
+        # The grid's samples plus the folded angle's row, inserted in place,
+        # are the rows of the sorted, deduplicated angle set.
+        grid = np.linspace(0.0, math.pi, n)
+        grid_samples = cosine_curve_samples(k, grid)
+        on_grid = float(grid[n // 3])
+        for theta in (on_grid, 0.0, math.pi, 1.234567, 2.0 * math.pi - on_grid, 4.0):
+            folded = float(arc_distance(theta, 0.0))
+            expected = cosine_curve_samples(
+                k, np.unique(np.concatenate([np.linspace(0.0, math.pi, n), [folded]])))
+            query, samples = _midpoint_problem(k, grid, grid_samples, theta)
+            assert np.array_equal(samples, expected), theta
+            assert np.array_equal(query, cosine_curve(k, theta))
+
 
 class TestEstimateThreshold:
     def test_k2_recovers_closed_form(self):
@@ -102,6 +150,17 @@ class TestEstimateThreshold:
             estimate_threshold(2, resolution=5e-5)
         with pytest.raises(ValueError):
             estimate_threshold(1)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            estimate_threshold(2, 1000, delta=math.nan)
+
+    @pytest.mark.parametrize("k, num_samples, delta", [
+        (2, 4000, PROBE_DELTA), (3, 4000, PROBE_DELTA),
+        (4, 5000, PROBE_DELTA), (5, 6000, PROBE_DELTA),
+        (2, 1000, 0.1),  # the seeded bracket fails; the 60-point scan finds it
+    ])
+    def test_matches_a_bisection_over_midpoint_interiority(self, k, num_samples, delta):
+        est = estimate_threshold(k, num_samples, 1e-3, delta)
+        assert est.bracket == reference_bracket(k, num_samples, 1e-3, delta)
 
     @pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
         "an in_hull LP ends with a basic weight of -5.5e-9; clipping it leaves "

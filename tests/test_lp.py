@@ -10,6 +10,7 @@ solver as an independent oracle (test-only dependency).
 import numpy as np
 import pytest
 
+from trigmoment import lp
 from trigmoment.lp import FEAS_TOL, LinearProgram, lp_solve
 
 scipy_linprog = pytest.importorskip("scipy.optimize", reason="scipy oracle").linprog
@@ -117,8 +118,78 @@ class TestFreeColumns:
         assert np.array_equal(mine.dual, split.dual)
         assert mine.dual_gap == split.dual_gap
 
+    @pytest.mark.parametrize("free_at", [[0], [5], list(range(6))],
+                             ids=["first", "last", "all"])
+    def test_free_columns_at_the_ends_and_everywhere(self, free_at):
+        # The negated copies go in with np.insert; its edge cases are a
+        # copy right after the first column, one appended after the last
+        # column, and one after every column.
+        rng = np.random.default_rng(len(free_at))
+        n = 6
+        free = np.zeros(n, dtype=bool)
+        free[free_at] = True
+        c, A, rhs = bounded_instance(rng, 3, n, free)
+        cols = [j for j in range(n) for _ in range(1 + free[j])]
+        signs = np.array([s for f in free for s in ((1.0, -1.0) if f else (1.0,))])
+        split = solve(c[cols] * signs, A[:, cols] * signs, rhs)
+        mine = solve(c, A, rhs, free=free)
+        assert mine.status == split.status == "optimal"
+        expected = np.zeros(n)
+        np.add.at(expected, cols, signs * split.primal)
+        assert np.array_equal(mine.primal, expected)
+        assert np.array_equal(mine.dual, split.dual)
+        assert mine.dual_gap == split.dual_gap
+
+
+def shift_multipliers(monkeypatch, shift):
+    """Make the simplex hand lp_solve y + shift * (1, -1).
+
+    In min x0 + 2 x1 st x0 + x1 = 1, x0 - x1 = 1 (optimum x = (1, 0),
+    y = (1.5, -0.5)) the shift leaves y @ rhs, and so the gap, unchanged and
+    moves only column 1's reduced cost, by -2 * shift.
+    """
+    real = lp._simplex_standard
+
+    def shifted(A, b, c):
+        status, z, y = real(A, b, c)
+        return status, z, y + shift * np.array([1.0, -1.0])
+
+    monkeypatch.setattr(lp, "_simplex_standard", shifted)
+    return [1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0]
+
 
 class TestCertificates:
+    def test_redundant_row_multipliers_without_the_fresh_solve(self, monkeypatch):
+        # Row 1 repeats row 0, so phase 1 drops one of them.  With the fresh
+        # factorization failing, the multipliers come from the artificial
+        # columns of the rows that were kept, and must be dual feasible.
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        c = np.array([1.0, 2.0, 3.0])
+        A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        rhs = np.array([1.0, 1.0, 0.0])
+        cert = solve(c, A, rhs)
+        assert cert.status == "optimal"
+        assert abs(cert.objective_value - 1.5) < 1e-12
+        assert np.all(c - cert.dual @ A >= -FEAS_TOL)
+        assert abs(cert.dual @ rhs - 1.5) < 1e-12
+
+    @pytest.mark.parametrize("free, shift", [(False, 1.0), (True, -1.0)],
+                             ids=["negative-reduced-cost", "free-column-nonzero"])
+    def test_dual_infeasible_multipliers_refused(self, monkeypatch, free, shift):
+        objective, A, rhs = shift_multipliers(monkeypatch, shift)
+        with pytest.raises(RuntimeError, match="dual column 1"):
+            solve(objective, A, rhs, free=[False, free])
+
+    def test_positive_reduced_cost_on_a_nonnegative_column_accepted(self, monkeypatch):
+        # y = (0.5, 0.5) is another optimal dual: reduced costs (0, 2).
+        objective, A, rhs = shift_multipliers(monkeypatch, -1.0)
+        cert = solve(objective, A, rhs)
+        assert cert.status == "optimal"
+        assert np.allclose(cert.dual, [0.5, 0.5], atol=1e-12)
+
     def test_duality_gap_reported(self):
         cert = solve(
             [1.0, 1.0, 0.0, 0.0],
